@@ -54,7 +54,7 @@ from .summaries import (
     width_intervals_from_snapshots,
     width_intervals_tsv,
 )
-from .traceio import load_trace, save_trace, trace_bytes
+from .traceio import load_trace, save_trace
 
 ENV_OUT = "MOTIFCLUST_OUT"
 MANIFEST_NAME = "manifest.json"

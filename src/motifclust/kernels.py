@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -61,6 +62,7 @@ class Hyperparameters:
             raise ValueError("theta0 must hold 4 positive frequencies")
         if abs(sum(t) - 1.0) > 1e-9:
             raise ValueError(f"theta0 must sum to 1, got {sum(t)}")
+        object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "theta0", t)
         object.__setattr__(self, "prior_kind", PriorKind(self.prior_kind))
 
@@ -90,53 +92,60 @@ class ClusterStats:
 
 
 class GammaTables:
-    """Cached log-gamma lookups for integer counts shifted by alpha.
+    """Log-gamma lookups for integer counts shifted by alpha, of fixed size.
 
-    t1[x] = lgamma(x + alpha), t4[x] = lgamma(x + 4*alpha); both grow on
-    demand.  log_const is the per-column constant lgamma(4a) - 4*lgamma(a).
+    Every likelihood term is built from one column marginal,
+    f(x) = sum_b lgamma(x_b + alpha) - lgamma(sum_b x_b + 4*alpha),
+    read in a single gather from `lut` over a column stack (see `stack`):
+    the first `split` entries of `lut` hold lgamma(v + alpha), the next
+    `split` hold -lgamma(v + 4*alpha), and a stack's fifth row holds the
+    column totals plus `split`.  log_const is the per-column constant
+    lgamma(4a) - 4*lgamma(a): f(x) + log_const is the column's log marginal.
+    The tables never change once built; tables_for hands out larger ones.
     """
 
     def __init__(self, alpha: float, size: int = 4096):
         self.alpha = float(alpha)
-        self.log_const = float(gammaln(4 * alpha) - 4 * gammaln(alpha))
-        self._t1 = gammaln(np.arange(size, dtype=float) + self.alpha)
-        self._t4 = gammaln(np.arange(size, dtype=float) + 4 * self.alpha)
-        self._marginal_cache: dict[bytes, float] = {}
+        self.split = int(size)
+        v = np.arange(self.split, dtype=float)
+        self.lut = np.concatenate([gammaln(v + self.alpha), -gammaln(v + 4 * self.alpha)])
+        self.lut.flags.writeable = False
+        self.log_const = float(gammaln(4 * self.alpha) - 4 * gammaln(self.alpha))
 
-    def ensure(self, max_value: int) -> None:
-        if max_value >= self._t1.shape[0]:
-            size = 1 << int(max_value).bit_length()
-            self._t1 = gammaln(np.arange(size, dtype=float) + self.alpha)
-            self._t4 = gammaln(np.arange(size, dtype=float) + 4 * self.alpha)
+    def stack(self, counts: np.ndarray) -> np.ndarray:
+        """(5, width) column stack of a (width, 4) count table: the four base
+        rows, then the column totals offset by `split`."""
+        cols = np.empty((5, counts.shape[0]), dtype=np.int64)
+        cols[:4] = counts.T
+        cols[4] = cols[:4].sum(axis=0) + self.split
+        return cols
+
+    def column_marginals(self, cols: np.ndarray) -> np.ndarray:
+        """f of every column of a column stack (stack rows on axis 0, any
+        trailing shape); totals must stay below `split`."""
+        return np.add.reduce(self.lut[cols], axis=0)
 
     def log_dm_matrix(self, counts: np.ndarray) -> float:
         """Sum of per-column Dirichlet-multinomial log marginals for a
         (width, 4) integer table, including the per-column constant."""
-        sums = counts.sum(axis=1)
-        top = int(sums.max(initial=0))
-        if top >= self._t4.shape[0]:
-            self.ensure(top)
-        return float(
-            self._t1[counts].sum()
-            - self._t4[sums].sum()
-            + counts.shape[0] * self.log_const
-        )
+        cols = self.stack(counts)
+        top = int(cols[4].max(initial=self.split)) - self.split
+        if top >= self.split:
+            return tables_for(self.alpha, top).log_dm_matrix(counts)
+        return float(self.column_marginals(cols).sum() + cols.shape[1] * self.log_const)
 
-    def log_dm_matrix_cached(self, counts: np.ndarray) -> float:
-        key = counts.tobytes()
-        hit = self._marginal_cache.get(key)
-        if hit is not None:
-            return hit
-        value = self.log_dm_matrix(counts)
-        if len(self._marginal_cache) > 1_000_000:
-            self._marginal_cache.clear()
-        self._marginal_cache[key] = value
-        return value
+    # the benchmark still wraps this name; its next change drops it from METHODS
+    log_dm_matrix_cached = log_dm_matrix
+
+
+def tables_for(alpha: float, top: int = 0) -> GammaTables:
+    """Shared tables for alpha that cover counts and column totals up to top."""
+    return _tables(float(alpha), max(4096, 1 << int(top).bit_length()))
 
 
 @lru_cache(maxsize=32)
-def tables_for(alpha: float) -> GammaTables:
-    return GammaTables(alpha)
+def _tables(alpha: float, size: int) -> GammaTables:
+    return GammaTables(alpha, size)
 
 
 def log_dm_column(counts: Sequence[int], alpha: float) -> float:
@@ -152,13 +161,13 @@ def log_dm_column(counts: Sequence[int], alpha: float) -> float:
         raise ValueError("counts must be non-negative")
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    return tables_for(float(alpha)).log_dm_matrix(arr[None, :])
+    return tables_for(alpha).log_dm_matrix(arr[None, :])
 
 
 def log_marginal_cluster(stats: ClusterStats, alpha: float) -> float:
     """Log marginal likelihood of a cluster's summed core counts: the product
     of independent column marginals."""
-    return tables_for(float(alpha)).log_dm_matrix(stats.core_counts)
+    return tables_for(alpha).log_dm_matrix(stats.core_counts)
 
 
 def _core_array(core) -> np.ndarray:
@@ -220,13 +229,9 @@ def log_partition_prior(z: Sequence[int], hyper: Hyperparameters) -> float:
         raise ValueError("partition must cover at least one observation")
     b = hyper.b
     if hyper.prior_kind is PriorKind.DP:
-        sizes: dict[int, int] = {}
-        for lab in labels:
-            sizes[lab] = sizes.get(lab, 0) + 1
-        lp = len(sizes) * math.log(b)
-        lp += sum(math.lgamma(nc) for nc in sizes.values())
-        lp -= sum(math.log(b + i) for i in range(n))
-        return lp
+        sizes = Counter(labels).values()
+        lp = len(sizes) * math.log(b) + sum(map(math.lgamma, sizes))
+        return lp - (math.lgamma(b + n) - math.lgamma(b))
     seen: dict[int, int] = {}
     lp = 0.0
     for lab in labels:
@@ -245,22 +250,38 @@ def log_width_prior(
 ) -> float:
     """Log prior weight of core width w: w*log(lam) - lam - lgamma(w).
 
-    With a finite support supplied, the value is renormalized over exactly
-    those widths (the truncated prior the sampler draws new widths from).
+    With a finite support supplied, which must be the widths wmin..top, the
+    value is renormalized over exactly those widths (the truncated prior the
+    sampler draws new widths from).
     """
     if w < hyper.wmin:
         raise ValueError(f"width {w} below minimum width {hyper.wmin}")
-    raw = w * math.log(hyper.lam) - hyper.lam - math.lgamma(w)
     if support is None:
-        return raw
+        return w * math.log(hyper.lam) - hyper.lam - math.lgamma(w)
     ws = sorted(set(int(v) for v in support))
-    if not ws or any(v < hyper.wmin for v in ws):
-        raise ValueError("support must be non-empty and respect wmin")
+    if not ws or ws != list(range(hyper.wmin, ws[-1] + 1)):
+        raise ValueError(f"support must be the widths {hyper.wmin}..top, got {ws}")
     if w not in ws:
         raise ValueError(f"width {w} not in support {ws}")
-    terms = np.array([v * math.log(hyper.lam) - hyper.lam - math.lgamma(v) for v in ws])
-    top = terms.max()
-    return raw - (top + math.log(np.exp(terms - top).sum()))
+    return float(log_width_probs(hyper, ws[-1])[w - hyper.wmin])
+
+
+def log_width_probs(hyper: Hyperparameters, top: int) -> np.ndarray:
+    """Log width prior truncated to the widths wmin..top and renormalized,
+    indexed by w - wmin.  This is the one normalizer; it is cached on top."""
+    if top < hyper.wmin:
+        raise ValueError(f"top width {top} below minimum width {hyper.wmin}")
+    return _log_width_probs(hyper.lam, hyper.wmin, int(top))
+
+
+@lru_cache(maxsize=256)
+def _log_width_probs(lam: float, wmin: int, top: int) -> np.ndarray:
+    ws = np.arange(wmin, top + 1)
+    raw = ws * math.log(lam) - lam - gammaln(ws)
+    m = raw.max()
+    probs = raw - (m + math.log(np.exp(raw - m).sum()))
+    probs.flags.writeable = False
+    return probs
 
 
 def log_background(bg_counts: Sequence[int], hyper: Hyperparameters) -> float:

@@ -25,6 +25,8 @@ from .kernels import (
     Hyperparameters,
     PriorKind,
     log_joint_from_arrays,
+    log_partition_prior,
+    log_width_probs,
     tables_for,
 )
 from .matrices import MotifRecord
@@ -100,16 +102,39 @@ class RunTrace:
 
 
 class _Cluster:
-    __slots__ = ("stats", "members", "logm")
+    """One live cluster: its members, its statistics and the index of its
+    segment in the state's column table.  stats.core_counts is a (width, 4)
+    view of that segment."""
 
-    def __init__(self, stats: ClusterStats, members: set[int], logm: float):
+    __slots__ = ("cid", "stats", "members", "seg", "start", "tables")
+
+    def __init__(self, cid: int, stats: ClusterStats, members: set[int], tables: GammaTables):
+        self.cid = cid
         self.stats = stats
         self.members = members
-        self.logm = logm
+        self.seg = self.start = -1
+        self.tables = tables
+
+    @property
+    def logm(self) -> float:
+        """Log marginal likelihood of the summed core counts."""
+        return self.tables.log_dm_matrix(self.stats.core_counts)
 
 
 class SamplerState:
-    """Mutable sampler state bound to its data and hyperparameters."""
+    """Mutable sampler state bound to its data and hyperparameters.
+
+    The summed core counts of every cluster live in one column table: a
+    (5, capacity) column stack (see GammaTables.stack) in which each cluster
+    owns a contiguous segment of `width` columns, next to the marginal f of
+    each column.  A new cluster, or one whose width changes, gets a segment
+    appended at the end; the segment it leaves is retired (zero counts and
+    marginals, prior -inf).  Before an append, the table is compacted if
+    retired columns outnumber live ones; live columns never exceed the
+    summed motif lengths, so the table has a fixed capacity.  The segment
+    map holds start, width and log prior mass (log m under the DP, 0 under
+    the uniform prior, -inf once retired) of each segment, in table order.
+    """
 
     __slots__ = (
         "data",
@@ -118,9 +143,6 @@ class SamplerState:
         "ids",
         "raw",
         "lengths",
-        "totals",
-        "base_prefix",
-        "bg_prefix",
         "z",
         "offsets",
         "clusters",
@@ -128,7 +150,25 @@ class SamplerState:
         "iteration",
         "updates",
         "_next_id",
-        "_width_draw_cache",
+        "_grand_total",
+        "_log_theta0",
+        "_dp",
+        "_log_b",
+        "_stacks",
+        "_windows",
+        "_bg",
+        "_new_prefix",
+        "_cols",
+        "_fcol",
+        "_pos",
+        "_empty",
+        "_arange",
+        "_ncols",
+        "_dead",
+        "_seg_start",
+        "_seg_width",
+        "_seg_prior",
+        "_seg_owner",
     )
 
     def __init__(self, data: Sequence[MotifRecord], hyper: Hyperparameters):
@@ -136,7 +176,6 @@ class SamplerState:
             raise ValueError("need at least one motif")
         self.data = list(data)
         self.hyper = hyper
-        self.tables: GammaTables = tables_for(hyper.alpha)
         self.ids = [rec.id for rec in self.data]
         self.raw = [rec.matrix.counts for rec in self.data]
         self.lengths = np.array([r.shape[0] for r in self.raw], dtype=np.int64)
@@ -145,27 +184,62 @@ class SamplerState:
             raise ValueError(
                 f"motifs narrower than wmin={hyper.wmin}: {short}; filter first"
             )
-        self.tables.ensure(int(sum(int(r.sum()) for r in self.raw)) + 4)
-        self.totals = np.stack([r.sum(axis=0) for r in self.raw])
-        log_theta0 = hyper.log_theta0
-        # per-motif prefix sums: base_prefix[i][j] = column sums over [0, j)
-        self.base_prefix = [
-            np.vstack([np.zeros(4, dtype=np.int64), np.cumsum(r, axis=0)])
-            for r in self.raw
-        ]
-        # bg_prefix[i][j] = sum over columns < j of counts . log(theta0)
-        self.bg_prefix = [
-            np.concatenate([[0.0], np.cumsum(r @ log_theta0)]) for r in self.raw
-        ]
+        self._grand_total = np.sum([r.sum(axis=0) for r in self.raw], axis=0)
+        self.tables: GammaTables = tables_for(hyper.alpha, int(self._grand_total.sum()))
+        tables = self.tables
+        self._log_theta0 = hyper.log_theta0
+        self._dp = hyper.prior_kind is PriorKind.DP
+        self._log_b = math.log(hyper.b)
         n = len(self.data)
+        max_len = int(self.lengths.max())
+        # per motif: its column stack with plain totals, zero-padded by the
+        # widest possible core so any segment can be gathered at any offset,
+        # and the view _windows[i][:, o, p] = column o + p of that stack
+        self._stacks = []
+        self._windows = []
+        # _bg[i][o, w]: background term of core [o, o + w), +inf where it
+        # does not fit; _new_prefix[i][j]: new-cluster weight of columns < j
+        self._bg = []
+        self._new_prefix = []
+        for r in self.raw:
+            length = r.shape[0]
+            cols = np.zeros((5, length + max_len), dtype=np.int64, order="F")
+            cols[:4, :length] = r.T
+            cols[4, :length] = r.sum(axis=1)
+            self._stacks.append(cols)
+            self._windows.append(
+                np.lib.stride_tricks.sliding_window_view(cols, max_len, axis=1)[:, :length]
+            )
+            col_bg = self._log_theta0 @ cols[:4, :length]
+            bg_prefix = np.concatenate([[0.0], np.cumsum(col_bg)])
+            ends = np.arange(length)[:, None] + np.arange(max_len + 1)
+            core_bg = bg_prefix[np.minimum(ends, length)] - bg_prefix[:length, None]
+            self._bg.append(np.where(ends <= length, core_bg, np.inf))
+            own = tables.column_marginals(tables.stack(r)) + tables.log_const - col_bg
+            self._new_prefix.append(np.concatenate([[0.0], np.cumsum(own)]))
         self.z = np.zeros(n, dtype=np.int64)
         self.offsets = np.zeros(n, dtype=np.int64)
         self.clusters: dict[int, _Cluster] = {}
-        self.background = np.zeros(4, dtype=np.int64)
+        # per-base counts outside the cores of attached motifs
+        self.background = self._grand_total.copy()
         self.iteration = 0
         self.updates = 0
         self._next_id = 0
-        self._width_draw_cache: dict[int, np.ndarray] = {}
+        # live columns never exceed the summed lengths, retired ones never
+        # exceed the live ones before an append: capacity is fixed
+        capacity = 2 * int(self.lengths.sum()) + max_len
+        self._cols = np.zeros((5, capacity), dtype=np.int64, order="F")
+        self._fcol = np.zeros(capacity)
+        self._pos = np.zeros(capacity, dtype=np.int64)
+        self._empty = tables.stack(np.zeros((1, 4), dtype=np.int64))
+        self._arange = np.arange(max_len + 1)
+        self._ncols = 0
+        self._dead = 0
+        segments = n + int(self.lengths.sum()) + 1
+        self._seg_start = np.zeros(segments, dtype=np.int64)
+        self._seg_width = np.zeros(segments, dtype=np.int64)
+        self._seg_prior = np.zeros(segments)
+        self._seg_owner: list[_Cluster | None] = []
 
     # ------------------------------------------------------------ bookkeeping
 
@@ -176,62 +250,122 @@ class SamplerState:
         return self.raw[i][offset : offset + width]
 
     def core_base_sums(self, i: int, offset: int, width: int) -> np.ndarray:
-        p = self.base_prefix[i]
-        return p[offset + width] - p[offset]
+        return np.add.reduce(self._stacks[i][:4, offset : offset + width], axis=1)
 
-    def core_bg_dot(self, i: int, offset: int, width: int) -> float:
-        p = self.bg_prefix[i]
-        return p[offset + width] - p[offset]
+    def _log_mass(self, member_count: int) -> float:
+        return math.log(member_count) if self._dp else 0.0
 
-    def _new_cluster(self, width: int, counts: np.ndarray, members: set[int]) -> int:
+    def _refresh(self, start: int, width: int) -> None:
+        cols = self._cols[:, start : start + width]
+        self._fcol[start : start + width] = self.tables.column_marginals(cols)
+
+    def _place(self, cl: _Cluster, cols: np.ndarray) -> None:
+        """Append a segment holding `cols` (a column stack) for cluster cl."""
+        if self._dead > self._ncols - self._dead:
+            self._compact()
+        start, width, k = self._ncols, cols.shape[1], len(self._seg_owner)
+        self._cols[:, start : start + width] = cols
+        self._refresh(start, width)
+        self._pos[start : start + width] = self._arange[:width]
+        self._seg_start[k] = start
+        self._seg_width[k] = width
+        self._seg_prior[k] = self._log_mass(cl.stats.member_count)
+        self._seg_owner.append(cl)
+        self._ncols = start + width
+        cl.seg, cl.start = k, start
+        cl.stats.core_counts = self._cols[:4, start : start + width].T
+
+    def _retire(self, cl: _Cluster) -> None:
+        """Empty cluster cl's segment (zero counts and marginals) and mark
+        it retired."""
+        start, width = cl.start, cl.stats.width
+        self._cols[:, start : start + width] = self._empty
+        self._fcol[start : start + width] = 0.0
+        self._seg_prior[cl.seg] = -np.inf
+        self._seg_owner[cl.seg] = None
+        self._dead += width
+
+    def _relocate(self, cl: _Cluster, cols: np.ndarray) -> None:
+        """Move cluster cl to a new segment holding `cols`, of any width."""
+        self._retire(cl)
+        cl.stats.width = cols.shape[1]
+        self._place(cl, cols)
+
+    def _compact(self) -> None:
+        """Drop retired segments, keeping the live ones in table order."""
+        k, n = len(self._seg_owner), self._ncols
+        alive = self._seg_prior[:k] > -np.inf
+        keep = np.repeat(alive, self._seg_width[:k])
+        m = int(keep.sum())
+        self._cols[:, :m] = self._cols[:, :n][:, keep]
+        self._fcol[:m] = self._fcol[:n][keep]
+        self._pos[:m] = self._pos[:n][keep]
+        widths = self._seg_width[:k][alive]
+        live = len(widths)
+        self._seg_prior[:live] = self._seg_prior[:k][alive]
+        self._seg_width[:live] = widths
+        self._seg_start[:live] = np.cumsum(widths) - widths
+        self._seg_owner = [cl for cl in self._seg_owner if cl is not None]
+        self._ncols, self._dead = m, 0
+        for seg, cl in enumerate(self._seg_owner):
+            start = int(self._seg_start[seg])
+            cl.seg, cl.start = seg, start
+            cl.stats.core_counts = self._cols[:4, start : start + cl.stats.width].T
+
+    def _core_cols(self, i: int, offset: int, width: int) -> np.ndarray:
+        """Column stack of motif i's core, as the table holds it."""
+        cols = np.array(self._stacks[i][:, offset : offset + width], order="F")
+        cols[4] += self.tables.split
+        return cols
+
+    def _new_cluster(self, cols: np.ndarray, members: set[int]) -> int:
+        """Open a cluster holding `cols` (a column stack) for these members."""
         cid = self._next_id
         self._next_id += 1
-        stats = ClusterStats(width=width, core_counts=counts, member_count=len(members))
-        self.clusters[cid] = _Cluster(stats, members, self.tables.log_dm_matrix(counts))
+        stats = ClusterStats(width=cols.shape[1], core_counts=cols[:4].T, member_count=len(members))
+        cl = _Cluster(cid, stats, members, self.tables)
+        self._place(cl, cols)
+        self.clusters[cid] = cl
+        self.background -= np.add.reduce(cols[:4], axis=1)
+        for i in members:
+            self.z[i] = cid
         return cid
-
-    def _refresh(self, cl: _Cluster) -> None:
-        cl.logm = self.tables.log_dm_matrix_cached(cl.stats.core_counts)
 
     def attach(self, i: int, cid: int) -> None:
         """Add motif i's core (at its current offset) to cluster cid."""
         cl = self.clusters[cid]
-        w = cl.stats.width
+        start, w = cl.start, cl.stats.width
         o = int(self.offsets[i])
-        cl.stats.core_counts += self.core(i, o, w)
+        self._cols[:, start : start + w] += self._stacks[i][:, o : o + w]
+        self._refresh(start, w)
         cl.stats.member_count += 1
         cl.members.add(i)
-        self._refresh(cl)
+        self._seg_prior[cl.seg] = self._log_mass(cl.stats.member_count)
         self.z[i] = cid
-        self.background += self.totals[i] - self.core_base_sums(i, o, w)
+        self.background -= self.core_base_sums(i, o, w)
 
     def detach(self, i: int) -> tuple[int, int]:
         """Remove motif i from its cluster; returns (old cluster id, old width).
         Emptied clusters are retired, their ids never reused."""
         cid = int(self.z[i])
         cl = self.clusters[cid]
-        w = cl.stats.width
+        start, w = cl.start, cl.stats.width
         o = int(self.offsets[i])
-        cl.stats.core_counts -= self.core(i, o, w)
         cl.stats.member_count -= 1
         cl.members.discard(i)
         if cl.stats.member_count == 0:
+            self._retire(cl)
             del self.clusters[cid]
         else:
-            self._refresh(cl)
-        self.background -= self.totals[i] - self.core_base_sums(i, o, w)
+            self._cols[:, start : start + w] -= self._stacks[i][:, o : o + w]
+            self._refresh(start, w)
+            self._seg_prior[cl.seg] = self._log_mass(cl.stats.member_count)
+        self.background += self.core_base_sums(i, o, w)
         return cid, w
 
-    def cluster_width_support(self, cid: int) -> range:
-        cl = self.clusters[cid]
-        top = min(
-            int(self.lengths[m]) - int(self.offsets[m]) for m in cl.members
-        )
-        return range(self.hyper.wmin, top + 1)
-
     def audit(self) -> None:
-        """Rebuild all sufficient statistics from scratch; exact match required."""
-        bg = np.zeros(4, dtype=np.int64)
+        """Rebuild all sufficient statistics and the column table from
+        scratch; exact match required."""
         seen: set[int] = set()
         for i in range(self.n_motifs()):
             cid = int(self.z[i])
@@ -240,6 +374,8 @@ class SamplerState:
             seen.add(cid)
         if seen != set(self.clusters):
             raise AssertionError("clusters without members present")
+        tables = self.tables
+        bg = self._grand_total.copy()
         for cid, cl in self.clusters.items():
             members = {i for i in range(self.n_motifs()) if int(self.z[i]) == cid}
             if members != cl.members:
@@ -253,57 +389,58 @@ class SamplerState:
                 if o < 0 or o + w > int(self.lengths[i]):
                     raise AssertionError(f"motif {i} core outside matrix bounds")
                 rebuilt += self.core(i, o, w)
-            if not np.array_equal(rebuilt, cl.stats.core_counts):
+            if not (0 <= cl.seg < len(self._seg_owner)) or self._seg_owner[cl.seg] is not cl:
+                raise AssertionError(f"cluster {cid} segment map out of sync")
+            start = cl.start
+            if int(self._seg_start[cl.seg]) != start:
+                raise AssertionError(f"cluster {cid} segment start out of sync")
+            segment = self._cols[:, start : start + w]
+            expected = tables.stack(rebuilt)
+            if int(self._seg_width[cl.seg]) != w or not np.array_equal(segment, expected):
+                raise AssertionError(f"cluster {cid} table columns out of sync")
+            if not np.array_equal(self._fcol[start : start + w], tables.column_marginals(expected)):
+                raise AssertionError(f"cluster {cid} column marginals out of sync")
+            if not np.array_equal(self._pos[start : start + w], np.arange(w)):
+                raise AssertionError(f"cluster {cid} column positions out of sync")
+            if self._seg_prior[cl.seg] != self._log_mass(len(members)):
+                raise AssertionError(f"cluster {cid} prior mass out of sync")
+            view = cl.stats.core_counts
+            if not (np.shares_memory(view, self._cols) and np.array_equal(view, rebuilt)):
                 raise AssertionError(f"cluster {cid} core counts out of sync")
-            if cl.logm != self.tables.log_dm_matrix(rebuilt):
-                raise AssertionError(f"cluster {cid} cached marginal out of sync")
-            bg += sum(self.totals[i] for i in members)
             bg -= rebuilt.sum(axis=0)
+        start = dead = 0
+        for seg, owner in enumerate(self._seg_owner):
+            w = int(self._seg_width[seg])
+            if int(self._seg_start[seg]) != start:
+                raise AssertionError(f"segment {seg} start out of sync")
+            if owner is None:
+                if (
+                    self._seg_prior[seg] != -np.inf
+                    or np.any(self._cols[:, start : start + w] != self._empty)
+                    or np.any(self._fcol[start : start + w] != 0.0)
+                ):
+                    raise AssertionError(f"retired segment {seg} not cleared")
+                dead += w
+            start += w
+        if start != self._ncols or dead != self._dead:
+            raise AssertionError("column table extent out of sync")
         if not np.array_equal(bg, self.background):
             raise AssertionError("background counts out of sync")
 
     # ------------------------------------------------------------- densities
 
-    def log_partition_prior(self) -> float:
-        b = self.hyper.b
-        if self.hyper.prior_kind is PriorKind.DP:
-            lp = len(self.clusters) * math.log(b)
-            for cl in self.clusters.values():
-                lp += math.lgamma(cl.stats.member_count)
-            lp -= sum(math.log(b + i) for i in range(self.n_motifs()))
-            return lp
-        seen: set[int] = set()
-        lp = 0.0
-        c = 0
-        for lab in self.z:
-            lab = int(lab)
-            if lab in seen:
-                lp -= math.log(b + c)
-            else:
-                lp += math.log(b) - math.log(b + c)
-                seen.add(lab)
-                c += 1
-        return lp
-
     def log_joint_fast(self) -> float:
         """Joint log density from the incrementally-maintained statistics."""
         hyper = self.hyper
-        lp = self.log_partition_prior()
-        lp += float(self.background @ hyper.log_theta0)
-        lam, wmin = hyper.lam, hyper.wmin
-        for cid in sorted(self.clusters):
-            cl = self.clusters[cid]
-            lp += cl.logm
-            top = min(int(self.lengths[m]) - int(self.offsets[m]) for m in cl.members)
-            w = cl.stats.width
-            if top > wmin:
-                raw_w = w * math.log(lam) - lam - math.lgamma(w)
-                terms = np.array(
-                    [v * math.log(lam) - lam - math.lgamma(v) for v in range(wmin, top + 1)]
-                )
-                m = terms.max()
-                lp += raw_w - (m + math.log(np.exp(terms - m).sum()))
-            # single feasible width carries no weight after renormalization
+        lp = log_partition_prior(self.z, hyper)
+        lp += float(self.background @ self._log_theta0)
+        # retired columns hold f = 0
+        lp += float(np.add.reduce(self._fcol[: self._ncols]))
+        lp += (self._ncols - self._dead) * self.tables.log_const
+        room = (self.lengths - self.offsets).tolist()
+        for cl in self.clusters.values():
+            top = min(room[m] for m in cl.members)
+            lp += float(log_width_probs(hyper, top)[cl.stats.width - hyper.wmin])
         return lp
 
     def snapshot(self, iteration: int, log_joint: float) -> Snapshot:
@@ -366,12 +503,7 @@ def init_state(
             o = int(rng.integers(0, int(state.lengths[i]) - w + 1))
             state.offsets[i] = o
             counts += state.core(i, o, w)
-        cid = state._new_cluster(w, counts, set(group))
-        for i in group:
-            state.z[i] = cid
-            state.background += state.totals[i] - state.core_base_sums(
-                i, int(state.offsets[i]), w
-            )
+        state._new_cluster(state.tables.stack(counts), set(group))
     return state
 
 
@@ -379,58 +511,38 @@ def init_state(
 
 
 def _categorical(logw: np.ndarray, rng: np.random.Generator) -> int:
-    w = np.exp(logw - logw.max())
-    cum = np.cumsum(w)
-    return int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+    # ufunc methods, not np.max/np.cumsum/np.searchsorted: on small inputs
+    # their Python-level dispatch is a sizeable share of an update
+    w = np.exp(logw - np.maximum.reduce(logw))
+    cum = np.add.accumulate(w)
+    return int(cum.searchsorted(rng.random() * cum[-1], side="right"))
 
 
-def _truncated_width_probs(state: SamplerState, max_width: int) -> np.ndarray:
-    """Cumulative probabilities of the width prior truncated to
-    [wmin, max_width], cached per max_width."""
-    cached = state._width_draw_cache.get(max_width)
-    if cached is not None:
-        return cached
-    hyper = state.hyper
-    ws = np.arange(hyper.wmin, max_width + 1, dtype=float)
-    logp = ws * math.log(hyper.lam) - hyper.lam - np.array([math.lgamma(v) for v in ws])
-    p = np.exp(logp - logp.max())
-    cum = np.cumsum(p)
-    cum /= cum[-1]
-    state._width_draw_cache[max_width] = cum
-    return cum
-
-
-def _assignment_weights(
-    state: SamplerState, i: int, prev_width: int
-) -> tuple[list[int], np.ndarray]:
-    """Candidate clusters (offset-feasible at motif i's current offset) and
-    their unnormalized log weights; the final entry is the new-cluster option
-    scored on the motif's current core extent."""
-    hyper = state.hyper
-    tables = state.tables
+def _assignment_weights(state: SamplerState, i: int) -> np.ndarray:
+    """Unnormalized log weights of motif i, held out of its own cluster,
+    joining each segment of the column table (in table order), then of
+    opening a new cluster scored on its current core extent.  Retired
+    segments, clusters too wide for the motif's offset, and the motif's own
+    cluster when it is the only member get weight -inf."""
+    cl = state.clusters[int(state.z[i])]
+    start, w = cl.start, cl.stats.width
     o = int(state.offsets[i])
-    length = int(state.lengths[i])
-    dp = hyper.prior_kind is PriorKind.DP
-    cids: list[int] = []
-    logws: list[float] = []
-    for cid in sorted(state.clusters):
-        cl = state.clusters[cid]
-        w = cl.stats.width
-        if o + w > length:
-            continue
-        core = state.raw[i][o : o + w]
-        join = tables.log_dm_matrix_cached(core + cl.stats.core_counts) - cl.logm
-        prior = math.log(cl.stats.member_count) if dp else 0.0
-        cids.append(cid)
-        logws.append(prior + join - state.core_bg_dot(i, o, w))
-    core_prev = state.raw[i][o : o + prev_width]
-    new_w = (
-        math.log(hyper.b)
-        + tables.log_dm_matrix_cached(core_prev)
-        - state.core_bg_dot(i, o, prev_width)
-    )
-    logws.append(new_w)
-    return cids, np.array(logws)
+    n, k = state._ncols, len(state._seg_owner)
+    bg = state._bg[i][o]
+    # the motif's columns against every table column; subtracted on its own
+    # segment, so that segment evaluates the other members without it
+    motif = state._stacks[i].T[o:].take(state._pos[:n], axis=0).T
+    motif[:, start : start + w] *= -1
+    gain = state.tables.column_marginals(state._cols[:, :n] + motif) - state._fcol[:n]
+    logw = np.empty(k + 1)
+    np.add.reduceat(gain, state._seg_start[:k], out=logw[:k])
+    leave = logw[cl.seg]
+    logw[:k] += state._seg_prior[:k] - bg[state._seg_width[:k]]
+    others = cl.stats.member_count - 1
+    logw[cl.seg] = -leave + state._log_mass(others) - bg[w] if others else -np.inf
+    new_prefix = state._new_prefix[i]
+    logw[k] = state._log_b + new_prefix[o + w] - new_prefix[o]
+    return logw
 
 
 def resample_assignment(state: SamplerState, i: int, rng: np.random.Generator) -> None:
@@ -441,26 +553,48 @@ def resample_assignment(state: SamplerState, i: int, rng: np.random.Generator) -
     columns the candidate core leaves uncovered.  Clusters whose width does
     not fit at the motif's current offset get probability zero.  A chosen
     new cluster draws its width from the truncated width prior and clamps
-    the offset to keep the core inside the matrix.
+    the offset to keep the core inside the matrix.  Staying put leaves the
+    state untouched.
     """
-    _, prev_width = state.detach(i)
-    cids, logws = _assignment_weights(state, i, prev_width)
-    choice = _categorical(logws, rng)
-    if choice < len(cids):
-        state.attach(i, cids[choice])
+    cl = state.clusters[int(state.z[i])]
+    choice = _categorical(_assignment_weights(state, i), rng)
+    if choice < len(state._seg_owner):
+        if choice != cl.seg:
+            state.detach(i)
+            state.attach(i, state._seg_owner[choice].cid)
     else:
+        hyper = state.hyper
         length = int(state.lengths[i])
-        cum = _truncated_width_probs(state, length)
-        w_new = state.hyper.wmin + int(
-            np.searchsorted(cum, rng.random(), side="right")
-        )
-        o = min(int(state.offsets[i]), length - w_new)
-        state.offsets[i] = o
-        counts = state.core(i, o, w_new).copy()
-        cid = state._new_cluster(w_new, counts, {i})
-        state.z[i] = cid
-        state.background += state.totals[i] - state.core_base_sums(i, o, w_new)
+        w_new = hyper.wmin + _categorical(log_width_probs(hyper, length), rng)
+        o_old, w_old = int(state.offsets[i]), cl.stats.width
+        o = min(o_old, length - w_new)
+        if cl.stats.member_count > 1:
+            state.detach(i)
+            state.offsets[i] = o
+            state._new_cluster(state._core_cols(i, o, w_new), {i})
+        elif w_new != w_old:
+            # a singleton stays alone only through this option, so it keeps
+            # its id and segment, moved only when its width is redrawn
+            state._relocate(cl, state._core_cols(i, o, w_new))
+            state.offsets[i] = o
+            state.background += state.core_base_sums(i, o_old, w_old) - state.core_base_sums(i, o, w_new)
     state.updates += 1
+
+
+def _alignment_weights(state: SamplerState, i: int) -> np.ndarray:
+    """Unnormalized log weight of every offset of motif i's core within its
+    cluster of width w: the join predictive against the other members (for
+    singletons, the fresh-cluster marginal) minus the background term of
+    the columns it displaces.  Scores all L - w + 1 offsets at once."""
+    tables = state.tables
+    cl = state.clusters[int(state.z[i])]
+    start, w = cl.start, cl.stats.width
+    length = int(state.lengths[i])
+    o = int(state.offsets[i])
+    rest = state._cols[:, start : start + w] - state._stacks[i][:, o : o + w]
+    windows = state._windows[i][:, : length - w + 1, :w]
+    gain = tables.column_marginals(windows + rest[:, None, :]) - tables.column_marginals(rest)
+    return gain.sum(axis=1) - state._bg[i][: length - w + 1, w]
 
 
 def resample_alignment(state: SamplerState, i: int, rng: np.random.Generator) -> None:
@@ -471,32 +605,17 @@ def resample_alignment(state: SamplerState, i: int, rng: np.random.Generator) ->
     members (for singletons this is the fresh-cluster marginal) plus the
     background term for the columns it displaces.
     """
-    cid = int(state.z[i])
-    cl = state.clusters[cid]
-    w = cl.stats.width
-    length = int(state.lengths[i])
-    if length == w:
-        state.updates += 1
-        return
-    o_old = int(state.offsets[i])
-    raw_i = state.raw[i]
-    core_old = raw_i[o_old : o_old + w]
-    cl.stats.core_counts -= core_old
-    rem = cl.stats.core_counts
-    tables = state.tables
-    n_offsets = length - w + 1
-    logws = np.empty(n_offsets)
-    for o in range(n_offsets):
-        core = raw_i[o : o + w]
-        logws[o] = tables.log_dm_matrix_cached(core + rem) - state.core_bg_dot(i, o, w)
-    o_new = _categorical(logws, rng)
-    cl.stats.core_counts += raw_i[o_new : o_new + w]
-    state._refresh(cl)
-    if o_new != o_old:
-        state.offsets[i] = o_new
-        state.background += state.core_base_sums(
-            i, o_old, w
-        ) - state.core_base_sums(i, o_new, w)
+    cl = state.clusters[int(state.z[i])]
+    if int(state.lengths[i]) > cl.stats.width:
+        o_old = int(state.offsets[i])
+        o_new = _categorical(_alignment_weights(state, i), rng)
+        if o_new != o_old:
+            start, w = cl.start, cl.stats.width
+            stack = state._stacks[i]
+            state._cols[:, start : start + w] += stack[:, o_new : o_new + w] - stack[:, o_old : o_old + w]
+            state._refresh(start, w)
+            state.offsets[i] = o_new
+            state.background += state.core_base_sums(i, o_old, w) - state.core_base_sums(i, o_new, w)
     state.updates += 1
 
 
@@ -510,38 +629,28 @@ def resample_width(state: SamplerState, cid: int, rng: np.random.Generator) -> N
     """
     cl = state.clusters[cid]
     hyper = state.hyper
-    members = sorted(cl.members)
-    top = min(int(state.lengths[m]) - int(state.offsets[m]) for m in members)
+    tables = state.tables
+    top = min(int(state.lengths[m]) - int(state.offsets[m]) for m in cl.members)
     wmin = hyper.wmin
     w_old = cl.stats.width
     if top == wmin:
         state.updates += 1
         return
-    stacked = np.zeros((top, 4), dtype=np.int64)
-    for m in members:
+    stacked = np.zeros((5, top), dtype=np.int64, order="F")
+    stacked[4] = tables.split
+    for m in cl.members:
         o = int(state.offsets[m])
-        stacked += state.raw[m][o : o + top]
-    tables = state.tables
-    sums = stacked.sum(axis=1)
-    tables.ensure(int(sums.max(initial=0)))
-    col_dm = (
-        tables._t1[stacked].sum(axis=1) - tables._t4[sums] + tables.log_const
+        stacked += state._stacks[m][:, o : o + top]
+    col = (
+        tables.column_marginals(stacked)
+        + tables.log_const
+        - state._log_theta0 @ stacked[:4]
     )
-    col_bg = stacked @ hyper.log_theta0
-    cum = np.cumsum(col_dm - col_bg)
-    ws = np.arange(wmin, top + 1)
-    prior = ws * math.log(hyper.lam) - hyper.lam - np.array(
-        [math.lgamma(v) for v in ws]
-    )
-    logws = cum[ws - 1] + prior
+    logws = np.cumsum(col)[wmin - 1 :] + log_width_probs(hyper, top)
     w_new = wmin + _categorical(logws, rng)
     if w_new != w_old:
-        old_sums = stacked[:w_old].sum(axis=0)
-        new_sums = stacked[:w_new].sum(axis=0)
-        cl.stats.core_counts = stacked[:w_new].copy()
-        cl.stats.width = int(w_new)
-        state.background += old_sums - new_sums
-        state._refresh(cl)
+        state._relocate(cl, stacked[:, :w_new])
+        state.background += stacked[:4, w_new:w_old].sum(axis=1) - stacked[:4, w_old:w_new].sum(axis=1)
     state.updates += 1
 
 
@@ -624,10 +733,7 @@ def state_from_snapshot(
         for i in members:
             o = int(state.offsets[i])
             counts += state.core(i, o, w)
-        cid = state._new_cluster(w, counts, members)
-        for i in members:
-            state.z[i] = cid
-            state.background += state.totals[i] - state.core_base_sums(i, int(state.offsets[i]), w)
+        state._new_cluster(state.tables.stack(counts), members)
     state.audit()
     return state
 
@@ -646,32 +752,19 @@ def membership_probability(
 ) -> dict[int | None, float]:
     """Single-site assignment conditional at the current state, normalized.
 
-    Same weights resample_assignment draws from; the None key is the
-    new-cluster option.  The state is restored exactly afterwards.
+    Same weights resample_assignment draws from, over the clusters that can
+    host the motif at its offset; the None key is the new-cluster option.
+    The state is not modified.
     """
-    o_before = int(state.offsets[i])
-    cid_old, prev_width = state.detach(i)
-    cids, logws = _assignment_weights(state, i, prev_width)
-    probs = np.exp(logws - logws.max())
+    logw = _assignment_weights(state, i)
+    probs = np.exp(logw - logw.max())
     probs /= probs.sum()
     out: dict[int | None, float] = {
-        cid: float(p) for cid, p in zip(cids, probs[:-1])
+        cl.cid: float(p)
+        for cl, lw, p in zip(state._seg_owner, logw, probs)
+        if lw > -np.inf
     }
     out[None] = float(probs[-1])
-    # restore: re-create the old cluster if the detach retired it
-    if cid_old in state.clusters:
-        state.attach(i, cid_old)
-    else:
-        counts = state.core(i, o_before, prev_width).copy()
-        state.clusters[cid_old] = _Cluster(
-            ClusterStats(width=prev_width, core_counts=counts, member_count=1),
-            {i},
-            state.tables.log_dm_matrix(counts),
-        )
-        state.z[i] = cid_old
-        state.background += state.totals[i] - state.core_base_sums(
-            i, o_before, prev_width
-        )
     return out
 
 

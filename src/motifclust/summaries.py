@@ -369,8 +369,7 @@ def best_partition_report(
         width = cl.stats.width
         cores = [state.core(i, int(state.offsets[i]), width) for i in members]
         strength = cluster_strength(cores, cl.stats, hyper)
-        # snapshot the summed counts before the membership probes: probing a
-        # singleton retires and recreates its cluster object
+        # copy: the summed counts are a view of the sampler's column table
         super_matrix = CountMatrix(cl.stats.core_counts.copy())
         probs = tuple(own_cluster_probability(state, i) for i in members)
         reports.append(

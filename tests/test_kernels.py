@@ -29,6 +29,7 @@ from motifclust import (
     log_width_prior,
     seq_prior_weights,
 )
+from motifclust.kernels import log_width_probs, tables_for
 from motifclust.priorsim import iter_set_partitions
 
 from conftest import ma0011_counts
@@ -332,6 +333,23 @@ def test_width_prior_below_minimum():
         log_width_prior(7, hyper, support=[8, 9])
 
 
+def test_width_probs_one_cached_normalizer():
+    hyper = Hyperparameters(lam=8.0, wmin=6)
+    probs = log_width_probs(hyper, 11)
+    assert probs is log_width_probs(Hyperparameters(lam=8.0, wmin=6), 11)
+    assert probs.shape == (6,)
+    assert math.fsum(math.exp(v) for v in probs) == pytest.approx(1.0, abs=1e-12)
+    for w in range(6, 12):
+        assert log_width_prior(w, hyper, support=range(6, 12)) == probs[w - 6]
+    assert log_width_probs(hyper, 6).tolist() == [0.0]
+    with pytest.raises(ValueError):
+        log_width_probs(hyper, 5)
+    with pytest.raises(ValueError):
+        log_width_prior(6, hyper, support=[6, 8])
+    with pytest.raises(ValueError):
+        log_width_prior(12, hyper, support=range(6, 12))
+
+
 # ------------------------------------------------------------------ background
 
 def test_log_background_values():
@@ -382,3 +400,24 @@ def test_cluster_strength_validates_member_count():
     stats = ClusterStats(width=1, core_counts=core, member_count=2)
     with pytest.raises(ValueError):
         cluster_strength([core], stats, HYPER_DP)
+
+
+# ------------------------------------------------------------------ tables
+
+def test_alpha_normalized_to_float_shares_tables():
+    hyper = Hyperparameters(alpha=1)
+    assert type(hyper.alpha) is float
+    assert hyper == Hyperparameters(alpha=1.0)
+    assert tables_for(1) is tables_for(1.0)
+    assert tables_for(hyper.alpha) is tables_for(1.0)
+
+
+def test_tables_grow_by_handing_out_larger_ones():
+    small = tables_for(1.0)
+    big = small.split + 5
+    col = np.array([[big, 0, 0, 0]])
+    # beyond the shared table the value comes from a larger one, unchanged
+    assert small.log_dm_matrix(col) == pytest.approx(
+        float(gammaln(big + 1.0) - gammaln(big + 4.0) + gammaln(4.0)), rel=1e-12
+    )
+    assert tables_for(1.0, big).split > big

@@ -7,17 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motifclust import (
+    ClusterStats,
     CountMatrix,
     Hyperparameters,
     MotifRecord,
     PriorKind,
     log_background,
+    log_pred_join,
     log_pred_new,
     log_width_prior,
+    seq_prior_weights,
 )
 from motifclust.kernels import log_joint_from_arrays
 from motifclust.sampler import (
     RunConfig,
+    _alignment_weights,
+    _assignment_weights,
     Snapshot,
     init_state,
     log_joint_of_snapshot,
@@ -608,3 +613,152 @@ class TestStressInvariants:
         raw = [r.matrix.counts for r in data]
         ref = log_joint_from_arrays(z, offsets, widths, raw, hyper)
         assert state.log_joint_fast() == pytest.approx(ref, abs=1e-9)
+
+
+def _swept_state(case):
+    """A random state with mixed widths, reached by random moves so that the
+    column table also holds retired segments."""
+    n, hyper, lengths, seed, ops = case
+    rng = np.random.default_rng(seed)
+    data = [rec(f"s{k}", rng.integers(0, 9, size=(lengths[k], 4))) for k in range(n)]
+    state = init_state(data, hyper, rng, init_mode="random")
+    for op in ops:
+        if op == 0:
+            resample_assignment(state, int(rng.integers(0, n)), rng)
+        elif op == 1:
+            resample_alignment(state, int(rng.integers(0, n)), rng)
+        else:
+            cids = sorted(state.clusters)
+            resample_width(state, cids[int(rng.integers(0, len(cids)))], rng)
+    return state, rng
+
+
+def _log_prior_mass(member_count, hyper):
+    _, sizes = seq_prior_weights([member_count], hyper)
+    return math.log(sizes[0])
+
+
+class TestVectorisedWeights:
+    """The column-table kernels against per-cluster and per-offset loops
+    over the kernel-level predictives."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_state_and_ops())
+    def test_assignment_weights_match_per_cluster_predictives(self, case):
+        state, rng = _swept_state(case)
+        hyper = state.hyper
+        i = int(rng.integers(0, state.n_motifs()))
+        own = state.clusters[int(state.z[i])]
+        o, length = int(state.offsets[i]), int(state.lengths[i])
+        logw = _assignment_weights(state, i)
+        assert logw.shape == (len(state._seg_owner) + 1,)
+        for seg, cl in enumerate(state._seg_owner):
+            if cl is None:
+                assert logw[seg] == -np.inf  # retired segment
+                continue
+            w = cl.stats.width
+            if o + w > length:
+                assert logw[seg] == -np.inf  # too wide at this offset
+                continue
+            core = state.core(i, o, w)
+            stats = cl.stats
+            if cl is own:
+                if own.stats.member_count == 1:
+                    assert logw[seg] == -np.inf  # leaving a singleton is "new"
+                    continue
+                stats = ClusterStats(
+                    width=w,
+                    core_counts=cl.stats.core_counts - core,
+                    member_count=cl.stats.member_count - 1,
+                )
+            expected = (
+                _log_prior_mass(stats.member_count, hyper)
+                + log_pred_join(core, stats, hyper)
+                - log_background(core.sum(axis=0), hyper)
+            )
+            assert logw[seg] == pytest.approx(expected, abs=1e-9)
+        core = state.core(i, o, own.stats.width)
+        expected_new = (
+            math.log(hyper.b)
+            + log_pred_new(core, hyper)
+            - log_background(core.sum(axis=0), hyper)
+        )
+        assert logw[-1] == pytest.approx(expected_new, abs=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_state_and_ops())
+    def test_alignment_weights_match_per_offset_loop(self, case):
+        state, rng = _swept_state(case)
+        hyper = state.hyper
+        i = int(rng.integers(0, state.n_motifs()))
+        cl = state.clusters[int(state.z[i])]
+        w, o = cl.stats.width, int(state.offsets[i])
+        rest = ClusterStats(
+            width=w,
+            core_counts=cl.stats.core_counts - state.core(i, o, w),
+            member_count=cl.stats.member_count - 1,
+        )
+        expected = [
+            log_pred_join(state.core(i, a, w), rest, hyper)
+            - log_background(state.core(i, a, w).sum(axis=0), hyper)
+            for a in range(int(state.lengths[i]) - w + 1)
+        ]
+        np.testing.assert_allclose(_alignment_weights(state, i), expected, rtol=0, atol=1e-9)
+
+
+class TestColumnTableAudit:
+    def swept(self):
+        """An audited state whose table holds live and retired segments."""
+        hyper = Hyperparameters(alpha=1.0, b=1.0, lam=3.0, wmin=2)
+        ops = [0, 2, 0, 1, 2, 0, 0, 2, 1, 0, 2, 0, 0, 0, 2, 2, 0, 1]
+        for seed in range(50):
+            state, _ = _swept_state((5, hyper, [4, 6, 5, 3, 6], seed, ops))
+            if None in state._seg_owner and len(state.clusters) > 1:
+                state.audit()
+                return state
+        raise AssertionError("no seed left a retired segment behind")
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda s, cl: s._cols.__setitem__((0, cl.start), s._cols[0, cl.start] + 1),
+            lambda s, cl: s._cols.__setitem__((4, cl.start), s._cols[4, cl.start] + 1),
+            lambda s, cl: s._fcol.__setitem__(cl.start, s._fcol[cl.start] + 1e-12),
+            lambda s, cl: s._pos.__setitem__(cl.start, s._pos[cl.start] + 1),
+            lambda s, cl: s._seg_prior.__setitem__(cl.seg, s._seg_prior[cl.seg] + 1.0),
+            lambda s, cl: s._seg_start.__setitem__(cl.seg, s._seg_start[cl.seg] + 1),
+            lambda s, cl: setattr(s, "_dead", s._dead + 1),
+        ],
+        ids=["counts", "totals", "marginal", "position", "prior", "segment-map", "dead"],
+    )
+    def test_audit_rebuilds_and_compares_column_table(self, corrupt):
+        state = self.swept()
+        corrupt(state, state.clusters[max(state.clusters)])
+        with pytest.raises(AssertionError):
+            state.audit()
+
+    def test_retired_segments_must_be_empty(self):
+        state = self.swept()
+        dead = [seg for seg, cl in enumerate(state._seg_owner) if cl is None]
+        state._cols[0, int(state._seg_start[dead[0]])] += 1
+        with pytest.raises(AssertionError):
+            state.audit()
+
+    def test_table_capacity_fixed_over_long_runs(self):
+        data = planted_motif_groups(
+            n_groups=3, members=3, core_width=6, length=9, sites=20, peak=0.8, seed=5
+        ).records
+        hyper = Hyperparameters(alpha=1.0, b=1.0, lam=6.0, wmin=4)
+        rng = np.random.default_rng(2)
+        state = init_state(data, hyper, rng)
+        capacity = state._cols.shape
+        for _ in range(300):
+            for i in range(state.n_motifs()):
+                resample_assignment(state, i, rng)
+                resample_alignment(state, i, rng)
+            for cid in sorted(state.clusters):
+                resample_width(state, cid, rng)
+        state.audit()
+        assert state._cols.shape == capacity
+        live = state._ncols - state._dead
+        assert live <= int(state.lengths.sum())
