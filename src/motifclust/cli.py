@@ -11,7 +11,9 @@ environment variable; every file the tool writes lands inside it.  A
 manifest.json is written before sampling starts (inputs, digests,
 resolved settings, derived chain seeds) and rewritten afterwards with the
 digests of all outputs, so a finished directory is self-describing and
-reruns can be verified byte for byte.
+reruns can be verified byte for byte.  Every file is written to a temp
+file beside it and then renamed over it, so a crash never leaves a
+partial file under an output name.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .summaries import (
     width_intervals_from_snapshots,
     width_intervals_tsv,
 )
-from .traceio import load_trace, save_trace
+from .traceio import atomic_writer, load_trace, save_trace
 
 ENV_OUT = "MOTIFCLUST_OUT"
 MANIFEST_NAME = "manifest.json"
@@ -165,7 +167,8 @@ def _sha256(data: bytes) -> str:
 
 def _write(path: Path, text: str) -> str:
     data = text.encode()
-    path.write_bytes(data)
+    with atomic_writer(path) as fh:
+        fh.write(data)
     return _sha256(data)
 
 
@@ -313,14 +316,7 @@ def cmd_cluster(args) -> int:
         "tool": "motifclust",
         "version": __version__,
         "command": "cluster",
-        "hyper": {
-            "alpha": hyper.alpha,
-            "b": hyper.b,
-            "lam": hyper.lam,
-            "wmin": hyper.wmin,
-            "theta0": list(hyper.theta0),
-            "prior_kind": hyper.prior_kind.value,
-        },
+        "hyper": hyper.to_dict(),
         "run": {
             "iterations": args.iters,
             "burn_in": configs[0].burn_in,
@@ -352,8 +348,14 @@ def cmd_cluster(args) -> int:
     manifest["digests"] = dict(sorted(digests.items()))
     _write(out / MANIFEST_NAME, _manifest_json(manifest))  # pre-run manifest
 
+    def run_chain(k: int, config: RunConfig) -> RunTrace:
+        try:
+            return run(kept, hyper, config)
+        except Exception as exc:
+            raise RuntimeError(f"chain {k}: {exc}") from exc
+
     with ThreadPoolExecutor(max_workers=args.chains) as pool:
-        traces = list(pool.map(lambda cfg: run(kept, hyper, cfg), configs))
+        traces = list(pool.map(run_chain, range(args.chains), configs))
     for name, trace in zip(trace_names, traces):
         save_trace(trace, out / name)
         digests[name] = _sha256((out / name).read_bytes())
@@ -389,15 +391,7 @@ def cmd_summarize(args) -> int:
     parsed_path = out / manifest["outputs"]["parsed_records"]
     _verify_digest(parsed_path, digests[parsed_path.name], "parsed records")
     records = records_from_json(parsed_path.read_text())
-    hyp = manifest["hyper"]
-    hyper = Hyperparameters(
-        alpha=hyp["alpha"],
-        b=hyp["b"],
-        lam=hyp["lam"],
-        wmin=hyp["wmin"],
-        theta0=tuple(hyp["theta0"]),
-        prior_kind=PriorKind(hyp["prior_kind"]),
-    )
+    hyper = Hyperparameters.from_dict(manifest["hyper"])
     traces = []
     for name in manifest["outputs"]["traces"]:
         path = out / name

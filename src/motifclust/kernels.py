@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -69,6 +69,16 @@ class Hyperparameters:
     @property
     def log_theta0(self) -> np.ndarray:
         return np.log(np.asarray(self.theta0))
+
+    def to_dict(self) -> dict:
+        """JSON-ready fields in declaration order."""
+        return {**asdict(self), "theta0": list(self.theta0), "prior_kind": self.prior_kind.value}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> Hyperparameters:
+        """Inverse of to_dict; every field must be present, other keys are
+        ignored."""
+        return cls(**{f.name: data[f.name] for f in fields(cls)})
 
 
 @dataclass

@@ -4,8 +4,9 @@ State holds, per cluster, the summed core counts of its aligned members;
 cluster parameters are integrated out, so moves only ever touch these
 sufficient statistics plus the pooled background counts.  Each iteration
 sweeps assignments in motif-index order, then (on the align_every schedule)
-core offsets, then per-cluster widths.  All randomness flows through one
-numpy Generator, making runs bit-reproducible from the seed.
+core offsets, then the widths of all clusters in one batched update.  All
+randomness flows through one numpy Generator, making runs bit-reproducible
+from the seed.
 
 Offsets are 0-based column indices into the raw matrix; a core of width w
 at offset a covers columns [a, a + w).
@@ -14,7 +15,8 @@ at offset a covers columns [a, a + w).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -69,6 +71,16 @@ class RunConfig:
             raise ValueError("audit_every must be >= 1")
         if self.init_mode not in INIT_MODES:
             raise ValueError(f"init_mode must be one of {INIT_MODES}")
+
+    def to_dict(self) -> dict:
+        """JSON-ready fields in declaration order."""
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> RunConfig:
+        """Inverse of to_dict; every field must be present, other keys are
+        ignored."""
+        return cls(**{f.name: data[f.name] for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -141,7 +153,6 @@ class SamplerState:
         "hyper",
         "tables",
         "ids",
-        "raw",
         "lengths",
         "z",
         "offsets",
@@ -154,8 +165,11 @@ class SamplerState:
         "_log_theta0",
         "_dp",
         "_log_b",
-        "_stacks",
-        "_windows",
+        "_flat",
+        "_base",
+        "_base_arr",
+        "_win",
+        "_wprior",
         "_bg",
         "_new_prefix",
         "_cols",
@@ -177,14 +191,14 @@ class SamplerState:
         self.data = list(data)
         self.hyper = hyper
         self.ids = [rec.id for rec in self.data]
-        self.raw = [rec.matrix.counts for rec in self.data]
-        self.lengths = np.array([r.shape[0] for r in self.raw], dtype=np.int64)
+        raw = [rec.matrix.counts for rec in self.data]
+        self.lengths = np.array([r.shape[0] for r in raw], dtype=np.int64)
         short = [rec.id for rec in self.data if rec.width < hyper.wmin]
         if short:
             raise ValueError(
                 f"motifs narrower than wmin={hyper.wmin}: {short}; filter first"
             )
-        self._grand_total = np.sum([r.sum(axis=0) for r in self.raw], axis=0)
+        self._grand_total = np.sum([r.sum(axis=0) for r in raw], axis=0)
         self.tables: GammaTables = tables_for(hyper.alpha, int(self._grand_total.sum()))
         tables = self.tables
         self._log_theta0 = hyper.log_theta0
@@ -192,25 +206,25 @@ class SamplerState:
         self._log_b = math.log(hyper.b)
         n = len(self.data)
         max_len = int(self.lengths.max())
-        # per motif: its column stack with plain totals, zero-padded by the
-        # widest possible core so any segment can be gathered at any offset,
-        # and the view _windows[i][:, o, p] = column o + p of that stack
-        self._stacks = []
-        self._windows = []
+        # every motif's column stack (plain totals) in one array, each one
+        # followed by max_len zero columns so that a core of any width can be
+        # gathered at any offset: motif i's column j is _flat[:, _base[i] + j],
+        # and _win[:, _base[i] + o, p] is its column o + p
+        spans = self.lengths + max_len
+        self._base_arr = np.add.accumulate(spans) - spans
+        self._base = self._base_arr.tolist()
+        self._flat = np.zeros((5, int(spans.sum())), dtype=np.int64, order="F")
+        self._win = np.lib.stride_tricks.sliding_window_view(self._flat, max_len, axis=1)
         # _bg[i][o, w]: background term of core [o, o + w), +inf where it
         # does not fit; _new_prefix[i][j]: new-cluster weight of columns < j
         self._bg = []
         self._new_prefix = []
-        for r in self.raw:
+        for base, r in zip(self._base, raw):
             length = r.shape[0]
-            cols = np.zeros((5, length + max_len), dtype=np.int64, order="F")
-            cols[:4, :length] = r.T
-            cols[4, :length] = r.sum(axis=1)
-            self._stacks.append(cols)
-            self._windows.append(
-                np.lib.stride_tricks.sliding_window_view(cols, max_len, axis=1)[:, :length]
-            )
-            col_bg = self._log_theta0 @ cols[:4, :length]
+            cols = self._flat[:, base : base + length]
+            cols[:4] = r.T
+            cols[4] = r.sum(axis=1)
+            col_bg = self._log_theta0 @ cols[:4]
             bg_prefix = np.concatenate([[0.0], np.cumsum(col_bg)])
             ends = np.arange(length)[:, None] + np.arange(max_len + 1)
             core_bg = bg_prefix[np.minimum(ends, length)] - bg_prefix[:length, None]
@@ -233,6 +247,10 @@ class SamplerState:
         self._pos = np.zeros(capacity, dtype=np.int64)
         self._empty = tables.stack(np.zeros((1, 4), dtype=np.int64))
         self._arange = np.arange(max_len + 1)
+        # _wprior[top, w]: log_width_probs(hyper, top) at w, -inf off wmin..top
+        self._wprior = np.full((max_len + 1, max_len + 1), -np.inf)
+        for top in range(hyper.wmin, max_len + 1):
+            self._wprior[top, hyper.wmin : top + 1] = log_width_probs(hyper, top)
         self._ncols = 0
         self._dead = 0
         segments = n + int(self.lengths.sum()) + 1
@@ -247,10 +265,23 @@ class SamplerState:
         return len(self.data)
 
     def core(self, i: int, offset: int, width: int) -> np.ndarray:
-        return self.raw[i][offset : offset + width]
+        start = self._base[i] + offset
+        return self._flat[:4, start : start + width].T
 
     def core_base_sums(self, i: int, offset: int, width: int) -> np.ndarray:
-        return np.add.reduce(self._stacks[i][:4, offset : offset + width], axis=1)
+        start = self._base[i] + offset
+        return np.add.reduce(self._flat[:4, start : start + width], axis=1)
+
+    def core_room(self, cls: Sequence[_Cluster]) -> tuple[np.ndarray, list[int], list[int]]:
+        """Widest core every member of each cluster in cls can hold at its
+        current offset, with the members grouped by cluster in that order
+        and the size of each group."""
+        # Python lists: on a handful of clusters numpy's per-call overhead
+        # would dominate
+        members = [i for cl in cls for i in cl.members]
+        sizes = [cl.stats.member_count for cl in cls]
+        room = (self.lengths - self.offsets)[members]
+        return np.minimum.reduceat(room, list(accumulate(sizes, initial=0))[:-1]), members, sizes
 
     def _log_mass(self, member_count: int) -> float:
         return math.log(member_count) if self._dp else 0.0
@@ -259,21 +290,25 @@ class SamplerState:
         cols = self._cols[:, start : start + width]
         self._fcol[start : start + width] = self.tables.column_marginals(cols)
 
-    def _place(self, cl: _Cluster, cols: np.ndarray) -> None:
-        """Append a segment holding `cols` (a column stack) for cluster cl."""
+    def _place(self, cls: list[_Cluster], cols: np.ndarray) -> None:
+        """Append one segment per cluster in cls, in order, holding `cols`:
+        their column stacks side by side, each cluster's stats.width wide."""
         if self._dead > self._ncols - self._dead:
             self._compact()
-        start, width, k = self._ncols, cols.shape[1], len(self._seg_owner)
-        self._cols[:, start : start + width] = cols
-        self._refresh(start, width)
-        self._pos[start : start + width] = self._arange[:width]
-        self._seg_start[k] = start
-        self._seg_width[k] = width
-        self._seg_prior[k] = self._log_mass(cl.stats.member_count)
-        self._seg_owner.append(cl)
-        self._ncols = start + width
-        cl.seg, cl.start = k, start
-        cl.stats.core_counts = self._cols[:4, start : start + width].T
+        start, end = self._ncols, self._ncols + cols.shape[1]
+        self._cols[:, start:end] = cols
+        self._refresh(start, end - start)
+        for seg, cl in enumerate(cls, len(self._seg_owner)):
+            width = cl.stats.width
+            self._pos[start : start + width] = self._arange[:width]
+            self._seg_start[seg] = start
+            self._seg_width[seg] = width
+            self._seg_prior[seg] = self._log_mass(cl.stats.member_count)
+            cl.seg, cl.start = seg, start
+            cl.stats.core_counts = self._cols[:4, start : start + width].T
+            start += width
+        self._seg_owner.extend(cls)
+        self._ncols = end
 
     def _retire(self, cl: _Cluster) -> None:
         """Empty cluster cl's segment (zero counts and marginals) and mark
@@ -285,11 +320,13 @@ class SamplerState:
         self._seg_owner[cl.seg] = None
         self._dead += width
 
-    def _relocate(self, cl: _Cluster, cols: np.ndarray) -> None:
-        """Move cluster cl to a new segment holding `cols`, of any width."""
-        self._retire(cl)
-        cl.stats.width = cols.shape[1]
-        self._place(cl, cols)
+    def _relocate(self, cls: list[_Cluster], widths: list[int], cols: np.ndarray) -> None:
+        """Move each cluster in cls to a new segment of the matching width,
+        appended in order; `cols` holds their new column stacks side by side."""
+        for cl, width in zip(cls, widths):
+            self._retire(cl)
+            cl.stats.width = width
+        self._place(cls, cols)
 
     def _compact(self) -> None:
         """Drop retired segments, keeping the live ones in table order."""
@@ -314,7 +351,8 @@ class SamplerState:
 
     def _core_cols(self, i: int, offset: int, width: int) -> np.ndarray:
         """Column stack of motif i's core, as the table holds it."""
-        cols = np.array(self._stacks[i][:, offset : offset + width], order="F")
+        start = self._base[i] + offset
+        cols = np.array(self._flat[:, start : start + width], order="F")
         cols[4] += self.tables.split
         return cols
 
@@ -324,7 +362,7 @@ class SamplerState:
         self._next_id += 1
         stats = ClusterStats(width=cols.shape[1], core_counts=cols[:4].T, member_count=len(members))
         cl = _Cluster(cid, stats, members, self.tables)
-        self._place(cl, cols)
+        self._place([cl], cols)
         self.clusters[cid] = cl
         self.background -= np.add.reduce(cols[:4], axis=1)
         for i in members:
@@ -336,7 +374,8 @@ class SamplerState:
         cl = self.clusters[cid]
         start, w = cl.start, cl.stats.width
         o = int(self.offsets[i])
-        self._cols[:, start : start + w] += self._stacks[i][:, o : o + w]
+        at = self._base[i] + o
+        self._cols[:, start : start + w] += self._flat[:, at : at + w]
         self._refresh(start, w)
         cl.stats.member_count += 1
         cl.members.add(i)
@@ -357,7 +396,8 @@ class SamplerState:
             self._retire(cl)
             del self.clusters[cid]
         else:
-            self._cols[:, start : start + w] -= self._stacks[i][:, o : o + w]
+            at = self._base[i] + o
+            self._cols[:, start : start + w] -= self._flat[:, at : at + w]
             self._refresh(start, w)
             self._seg_prior[cl.seg] = self._log_mass(cl.stats.member_count)
         self.background += self.core_base_sums(i, o, w)
@@ -431,16 +471,14 @@ class SamplerState:
 
     def log_joint_fast(self) -> float:
         """Joint log density from the incrementally-maintained statistics."""
-        hyper = self.hyper
-        lp = log_partition_prior(self.z, hyper)
+        lp = log_partition_prior(self.z, self.hyper)
         lp += float(self.background @ self._log_theta0)
         # retired columns hold f = 0
         lp += float(np.add.reduce(self._fcol[: self._ncols]))
         lp += (self._ncols - self._dead) * self.tables.log_const
-        room = (self.lengths - self.offsets).tolist()
-        for cl in self.clusters.values():
-            top = min(room[m] for m in cl.members)
-            lp += float(log_width_probs(hyper, top)[cl.stats.width - hyper.wmin])
+        cls = list(self.clusters.values())
+        widths = [cl.stats.width for cl in cls]
+        lp += float(np.add.reduce(self._wprior[self.core_room(cls)[0], widths]))
         return lp
 
     def snapshot(self, iteration: int, log_joint: float) -> Snapshot:
@@ -531,7 +569,7 @@ def _assignment_weights(state: SamplerState, i: int) -> np.ndarray:
     bg = state._bg[i][o]
     # the motif's columns against every table column; subtracted on its own
     # segment, so that segment evaluates the other members without it
-    motif = state._stacks[i].T[o:].take(state._pos[:n], axis=0).T
+    motif = state._flat.T[state._base[i] + o :].take(state._pos[:n], axis=0).T
     motif[:, start : start + w] *= -1
     gain = state.tables.column_marginals(state._cols[:, :n] + motif) - state._fcol[:n]
     logw = np.empty(k + 1)
@@ -575,7 +613,7 @@ def resample_assignment(state: SamplerState, i: int, rng: np.random.Generator) -
         elif w_new != w_old:
             # a singleton stays alone only through this option, so it keeps
             # its id and segment, moved only when its width is redrawn
-            state._relocate(cl, state._core_cols(i, o, w_new))
+            state._relocate([cl], [w_new], state._core_cols(i, o, w_new))
             state.offsets[i] = o
             state.background += state.core_base_sums(i, o_old, w_old) - state.core_base_sums(i, o, w_new)
     state.updates += 1
@@ -590,9 +628,10 @@ def _alignment_weights(state: SamplerState, i: int) -> np.ndarray:
     cl = state.clusters[int(state.z[i])]
     start, w = cl.start, cl.stats.width
     length = int(state.lengths[i])
-    o = int(state.offsets[i])
-    rest = state._cols[:, start : start + w] - state._stacks[i][:, o : o + w]
-    windows = state._windows[i][:, : length - w + 1, :w]
+    base = state._base[i]
+    at = base + int(state.offsets[i])
+    rest = state._cols[:, start : start + w] - state._flat[:, at : at + w]
+    windows = state._win[:, base : base + length - w + 1, :w]
     gain = tables.column_marginals(windows + rest[:, None, :]) - tables.column_marginals(rest)
     return gain.sum(axis=1) - state._bg[i][: length - w + 1, w]
 
@@ -611,47 +650,76 @@ def resample_alignment(state: SamplerState, i: int, rng: np.random.Generator) ->
         o_new = _categorical(_alignment_weights(state, i), rng)
         if o_new != o_old:
             start, w = cl.start, cl.stats.width
-            stack = state._stacks[i]
-            state._cols[:, start : start + w] += stack[:, o_new : o_new + w] - stack[:, o_old : o_old + w]
+            motif = state._flat[:, state._base[i] :]
+            state._cols[:, start : start + w] += motif[:, o_new : o_new + w] - motif[:, o_old : o_old + w]
             state._refresh(start, w)
             state.offsets[i] = o_new
             state.background += state.core_base_sums(i, o_old, w) - state.core_base_sums(i, o_new, w)
     state.updates += 1
 
 
-def resample_width(state: SamplerState, cid: int, rng: np.random.Generator) -> None:
-    """Gibbs update of one cluster's core width.
+def _width_weights(
+    state: SamplerState, cls: Sequence[_Cluster]
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Unnormalized log weights of the core widths of the clusters in cls
+    that can take more than one width.
 
-    Support runs from wmin to the widest core every member can still hold at
-    its current offset.  Weight of width w: the first w column marginals of
-    the (prefix-shared) stacked member counts, the background term for
-    columns beyond w, and the width prior.
+    Returns the indices into cls of those clusters, their log weights (row
+    per cluster, column w - wmin, -inf past the widest core every member
+    can hold) and their members' summed column stacks (5, rows, columns),
+    whose first w columns are the cluster's core at width w.  Weight of
+    width w: the first w column marginals of the summed stacks, the
+    background term of the columns beyond w, and the width prior.  With no
+    such cluster, the weights and stacks are None.
     """
-    cl = state.clusters[cid]
-    hyper = state.hyper
     tables = state.tables
-    top = min(int(state.lengths[m]) - int(state.offsets[m]) for m in cl.members)
-    wmin = hyper.wmin
-    w_old = cl.stats.width
-    if top == wmin:
-        state.updates += 1
+    wmin = state.hyper.wmin
+    top, members, sizes = state.core_room(cls)
+    free = top > wmin
+    rows = free.nonzero()[0]
+    if not len(rows):
+        return rows, None, None
+    members = np.array(members)[np.repeat(free, sizes)]
+    sizes, top = np.array(sizes)[rows], top[rows]
+    span = int(top.max())
+    windows = state._win[:, state._base_arr[members] + state.offsets[members], :span]
+    sums = np.add.reduceat(windows, np.add.accumulate(sizes) - sizes, axis=1)
+    sums[4] += tables.split
+    col_bg = (state._log_theta0 @ sums[:4].reshape(4, -1)).reshape(len(rows), span)
+    col = tables.column_marginals(sums) + tables.log_const - col_bg
+    logw = np.add.accumulate(col, axis=1)[:, wmin - 1 :] + state._wprior[top, wmin : span + 1]
+    return rows, logw, sums
+
+
+def resample_width(state: SamplerState, cids: Sequence[int], rng: np.random.Generator) -> None:
+    """Gibbs update of the core widths of the listed clusters, in list order.
+
+    Given the partition and the offsets, the widths of different clusters
+    are independent, so all of them are drawn from one evaluation (see
+    _width_weights), one uniform per cluster with more than one feasible
+    width, in list order.  The moved clusters are retired and appended to
+    the column table as one block.
+    """
+    cls = [state.clusters[cid] for cid in cids]
+    state.updates += len(cls)
+    rows, logw, sums = _width_weights(state, cls)
+    if logw is None:
         return
-    stacked = np.zeros((5, top), dtype=np.int64, order="F")
-    stacked[4] = tables.split
-    for m in cl.members:
-        o = int(state.offsets[m])
-        stacked += state._stacks[m][:, o : o + top]
-    col = (
-        tables.column_marginals(stacked)
-        + tables.log_const
-        - state._log_theta0 @ stacked[:4]
-    )
-    logws = np.cumsum(col)[wmin - 1 :] + log_width_probs(hyper, top)
-    w_new = wmin + _categorical(logws, rng)
-    if w_new != w_old:
-        state._relocate(cl, stacked[:, :w_new])
-        state.background += stacked[:4, w_new:w_old].sum(axis=1) - stacked[:4, w_old:w_new].sum(axis=1)
-    state.updates += 1
+    # row-wise inverse CDF, searchsorted(side="right") as in _categorical
+    cum = np.add.accumulate(np.exp(logw - np.maximum.reduce(logw, axis=1)[:, None]), axis=1)
+    u = rng.random(len(rows)) * cum[:, -1]
+    w_new = state.hyper.wmin + np.add.reduce(cum <= u[:, None], axis=1)
+    w_old = np.array([cls[r].stats.width for r in rows.tolist()])
+    moved = (w_new != w_old).nonzero()[0]
+    if not len(moved):
+        return
+    # block[:, k, :w] is moved cluster k's core at width w; the background
+    # takes back each old core and gives up each new one
+    block = sums[:, moved]
+    cols = state._arange[: block.shape[2]]
+    old, new = cols < w_old[moved, None], cols < w_new[moved, None]
+    state.background += np.add.reduce(block[:4, old], axis=1) - np.add.reduce(block[:4, new], axis=1)
+    state._relocate([cls[r] for r in rows[moved].tolist()], w_new[moved].tolist(), block[:, new])
 
 
 # ------------------------------------------------------------------ run loop
@@ -683,8 +751,7 @@ def run(
         if config.align_every is not None and t % config.align_every == 0:
             for i in range(n):
                 resample_alignment(state, i, rng)
-        for cid in sorted(state.clusters):
-            resample_width(state, cid, rng)
+        resample_width(state, sorted(state.clusters), rng)
         logp = state.log_joint_fast()
         log_joint_series[t - 1] = logp
         n_clusters_series[t - 1] = len(state.clusters)

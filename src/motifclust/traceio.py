@@ -13,18 +13,21 @@ complete line.  Record kinds:
 Paths ending in ".gz" select the compact variant: the identical byte
 stream, gzip-compressed with a zeroed timestamp so reruns stay
 byte-identical.  `export_text` turns a compact file back into plain text.
-All offsets are 0-based.
+Files are written through `atomic_writer`, so a failed write never leaves a
+partial file under the final name.  All offsets are 0-based.
 """
 
 from __future__ import annotations
 
 import gzip
 import json
+import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from .kernels import Hyperparameters, PriorKind
+from .kernels import Hyperparameters
 from .sampler import RunConfig, RunTrace, Snapshot
 
 TRACE_FORMAT = "motif-cluster-trace"
@@ -57,31 +60,13 @@ def _snapshot_from(rec: dict) -> Snapshot:
 
 def trace_lines(trace: RunTrace):
     """Yield the file's lines (without newlines) for a finished run."""
-    config = trace.config
-    hyper = trace.hyper
     header = {
         "kind": "header",
         "format": TRACE_FORMAT,
         "version": TRACE_VERSION,
         "ids": list(trace.ids),
-        "config": {
-            "iterations": config.iterations,
-            "burn_in": config.burn_in,
-            "align_every": config.align_every,
-            "thin": config.thin,
-            "seed": config.seed,
-            "record_trace": config.record_trace,
-            "audit_every": config.audit_every,
-            "init_mode": config.init_mode,
-        },
-        "hyper": {
-            "alpha": hyper.alpha,
-            "b": hyper.b,
-            "lam": hyper.lam,
-            "wmin": hyper.wmin,
-            "theta0": list(hyper.theta0),
-            "prior_kind": hyper.prior_kind.value,
-        },
+        "config": trace.config.to_dict(),
+        "hyper": trace.hyper.to_dict(),
         "initial": _snapshot_dict(trace.initial),
     }
     yield json.dumps(header, separators=(",", ":"))
@@ -106,18 +91,32 @@ def trace_bytes(trace: RunTrace) -> bytes:
     return ("\n".join(trace_lines(trace)) + "\n").encode("ascii")
 
 
+@contextmanager
+def atomic_writer(path: Path):
+    """Binary handle on a temp file beside `path` (its name plus ".tmp")
+    that replaces `path` once the block completes; if the block raises, the
+    temp file is removed and `path` keeps its previous content."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_trace(trace: RunTrace, path: str | Path) -> Path:
     """Write a finished run to `path`; ".gz" suffix selects compression."""
     path = Path(path)
     payload = trace_bytes(trace)
-    if path.suffix == ".gz":
-        # zeroed mtime and blank filename keep the bytes identical across
-        # reruns and across output locations
-        with open(path, "wb") as raw:
+    with atomic_writer(path) as raw:
+        if path.suffix == ".gz":
+            # zeroed mtime and blank filename keep the bytes identical
+            # across reruns and across output locations
             with gzip.GzipFile(filename="", fileobj=raw, mode="wb", mtime=0) as gz:
                 gz.write(payload)
-    else:
-        path.write_bytes(payload)
+        else:
+            raw.write(payload)
     return path
 
 
@@ -152,26 +151,8 @@ def load_trace(path: str | Path) -> RunTrace:
             f"{path}: version {header.get('version')!r} not supported "
             f"(this reader handles version {TRACE_VERSION})"
         )
-    cfg = header["config"]
-    config = RunConfig(
-        iterations=cfg["iterations"],
-        burn_in=cfg["burn_in"],
-        align_every=cfg["align_every"],
-        thin=cfg["thin"],
-        seed=cfg["seed"],
-        record_trace=cfg["record_trace"],
-        audit_every=cfg["audit_every"],
-        init_mode=cfg["init_mode"],
-    )
-    hyp = header["hyper"]
-    hyper = Hyperparameters(
-        alpha=hyp["alpha"],
-        b=hyp["b"],
-        lam=hyp["lam"],
-        wmin=hyp["wmin"],
-        theta0=tuple(hyp["theta0"]),
-        prior_kind=PriorKind(hyp["prior_kind"]),
-    )
+    config = RunConfig.from_dict(header["config"])
+    hyper = Hyperparameters.from_dict(header["hyper"])
     log_joint = np.empty(config.iterations)
     n_clusters = np.empty(config.iterations, dtype=np.int64)
     seen_iters = 0

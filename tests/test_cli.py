@@ -1,4 +1,5 @@
 import gzip
+import io
 import json
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from motifclust import CountMatrix, MotifRecord
+from motifclust import cli, traceio
 from motifclust.cli import entry
 from motifclust.parsers import parse_jaspar, write_jaspar
 from motifclust.synthetic import planted_motif_groups
@@ -117,6 +119,34 @@ class TestCluster:
         args = args[: args.index("--out")]  # drop --out, rely on env
         assert entry(args) == 0
         assert (out / "manifest.json").exists()
+
+    def test_failing_chain_named(self, motif_file, tmp_path, monkeypatch, capsys):
+        bad_seed = cli._chain_seeds(5, 3)[1]
+        real_run = cli.run
+
+        def run(data, hyper, config):
+            if config.seed == bad_seed:
+                raise ValueError("sampler blew up")
+            return real_run(data, hyper, config)
+
+        monkeypatch.setattr(cli, "run", run)
+        assert entry(cluster_args(motif_file, tmp_path / "r", chains=3)) == 3
+        assert "motifclust: error: chain 1: sampler blew up" in capsys.readouterr().err
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "report.txt"
+        cli._write(path, "complete\n")
+
+        class Failing(io.FileIO):
+            def write(self, data):
+                super().write(bytes(data)[:3])
+                raise OSError("disk full")
+
+        monkeypatch.setattr(traceio, "open", lambda p, mode: Failing(p, "w"), raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            cli._write(path, "replacement\n")
+        assert path.read_text() == "complete\n"
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_width_filter_recorded(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -23,6 +23,8 @@ from motifclust.sampler import (
     RunConfig,
     _alignment_weights,
     _assignment_weights,
+    _categorical,
+    _width_weights,
     Snapshot,
     init_state,
     log_joint_of_snapshot,
@@ -301,7 +303,7 @@ class TestWidthMove:
         state = init_state(data, hyper, np.random.default_rng(0))
         cid = int(state.z[0])
         before = state.updates
-        resample_width(state, cid, np.random.default_rng(1))
+        resample_width(state, [cid], np.random.default_rng(1))
         assert state.clusters[cid].stats.width == 2
         assert state.updates == before + 1
         state.audit()
@@ -335,7 +337,7 @@ class TestWidthMove:
         rng = np.random.default_rng(13)
         hits = np.zeros(3)
         for _ in range(20000):
-            resample_width(state, cid, rng)
+            resample_width(state, [cid], rng)
             hits[state.clusters[cid].stats.width - 1] += 1
         hits /= hits.sum()
         assert np.abs(hits - exact).max() < 0.02
@@ -356,7 +358,7 @@ class TestWidthMove:
         rng = np.random.default_rng(17)
         widths = []
         for _ in range(400):
-            resample_width(state, cid, rng)
+            resample_width(state, [cid], rng)
             widths.append(state.clusters[cid].stats.width)
         values, counts = np.unique(widths, return_counts=True)
         assert values[counts.argmax()] == 6
@@ -605,7 +607,7 @@ class TestStressInvariants:
                 resample_alignment(state, int(rng.integers(0, n)), rng)
             else:
                 cids = sorted(state.clusters)
-                resample_width(state, cids[int(rng.integers(0, len(cids)))], rng)
+                resample_width(state, [cids[int(rng.integers(0, len(cids)))]], rng)
         state.audit()
         z = state.z.copy()
         offsets = state.offsets.copy()
@@ -629,7 +631,7 @@ def _swept_state(case):
             resample_alignment(state, int(rng.integers(0, n)), rng)
         else:
             cids = sorted(state.clusters)
-            resample_width(state, cids[int(rng.integers(0, len(cids)))], rng)
+            resample_width(state, [cids[int(rng.integers(0, len(cids)))]], rng)
     return state, rng
 
 
@@ -757,8 +759,95 @@ class TestColumnTableAudit:
                 resample_assignment(state, i, rng)
                 resample_alignment(state, i, rng)
             for cid in sorted(state.clusters):
-                resample_width(state, cid, rng)
+                resample_width(state, [cid], rng)
         state.audit()
         assert state._cols.shape == capacity
         live = state._ncols - state._dead
         assert live <= int(state.lengths.sum())
+
+
+def reference_width_conditional(state, cid):
+    """The per-cluster width conditional, one cluster at a time: log weight
+    of every width wmin..top, where top is the widest core every member can
+    hold at its offset; None when top == wmin (the width is then fixed)."""
+    hyper = state.hyper
+    members = state.clusters[cid].members
+    top = min(int(state.lengths[m]) - int(state.offsets[m]) for m in members)
+    if top == hyper.wmin:
+        return None
+    stacked = sum(state.core(m, int(state.offsets[m]), top) for m in members)
+    support = range(hyper.wmin, top + 1)
+    return np.array(
+        [
+            log_pred_new(stacked[:w], hyper)
+            - log_background(stacked[:w].sum(axis=0), hyper)
+            + log_width_prior(w, hyper, support=support)
+            for w in support
+        ]
+    )
+
+
+class TestBatchedWidthSweep:
+    """The one-evaluation width sweep against the per-cluster conditional."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_state_and_ops(), st.integers(0, 2**16))
+    def test_matches_per_cluster_conditional_and_draws(self, case, draw_seed):
+        state, rng = _swept_state(case)
+        wmin = state.hyper.wmin
+        cids = [int(c) for c in rng.permutation(sorted(state.clusters))]
+        cls = [state.clusters[cid] for cid in cids]
+        rows, logw, _ = _width_weights(state, cls)
+        refs = [reference_width_conditional(state, cid) for cid in cids]
+        assert list(rows) == [k for k, ref in enumerate(refs) if ref is not None]
+        for row, k in enumerate(rows):
+            ref = refs[k]
+            np.testing.assert_allclose(logw[row, : len(ref)], ref, rtol=0, atol=1e-9)
+            assert np.all(logw[row, len(ref) :] == -np.inf)
+        # sequential draws, one cluster at a time, from an equal-seeded rng
+        ref_rng = np.random.default_rng(draw_seed)
+        expected = {
+            cid: cl.stats.width if ref is None else wmin + _categorical(ref, ref_rng)
+            for cid, cl, ref in zip(cids, cls, refs)
+        }
+        batch_rng = np.random.default_rng(draw_seed)
+        resample_width(state, cids, batch_rng)
+        assert {cid: state.clusters[cid].stats.width for cid in cids} == expected
+        assert batch_rng.bit_generator.state == ref_rng.bit_generator.state
+        state.audit()
+        widths = {cid: cl.stats.width for cid, cl in state.clusters.items()}
+        raw = [r.matrix.counts for r in state.data]
+        ref_joint = log_joint_from_arrays(state.z, state.offsets, widths, raw, state.hyper)
+        assert state.log_joint_fast() == pytest.approx(ref_joint, abs=1e-9)
+
+    def test_rng_untouched_when_every_width_is_fixed(self):
+        # every core spans its whole matrix: top == wmin for every cluster
+        hyper = Hyperparameters(alpha=1.0, b=1.0, lam=3.0, wmin=3)
+        data = [rec(f"m{k}", np.full((3, 4), k + 1)) for k in range(4)]
+        state = init_state(data, hyper, np.random.default_rng(0), init_mode="random")
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        updates = state.updates
+        cids = sorted(state.clusters)
+        resample_width(state, cids, rng)
+        assert rng.bit_generator.state == before
+        assert state.updates == updates + len(cids)
+        assert all(cl.stats.width == 3 for cl in state.clusters.values())
+        state.audit()
+
+    def test_audit_passes_after_300_batched_sweeps(self):
+        data = planted_motif_groups(
+            n_groups=3, members=3, core_width=6, length=9, sites=20, peak=0.8, seed=5
+        ).records
+        hyper = Hyperparameters(alpha=1.0, b=1.0, lam=6.0, wmin=4)
+        rng = np.random.default_rng(8)
+        state = init_state(data, hyper, rng)
+        seen = set()
+        for _ in range(300):
+            for i in range(state.n_motifs()):
+                resample_assignment(state, i, rng)
+                resample_alignment(state, i, rng)
+            resample_width(state, sorted(state.clusters), rng)
+            seen.update(cl.stats.width for cl in state.clusters.values())
+        state.audit()
+        assert len(seen) > 1

@@ -1,19 +1,23 @@
 import gzip
+import io
 import json
 
 import numpy as np
 import pytest
 
 from motifclust import CountMatrix, Hyperparameters, MotifRecord, PriorKind
-from motifclust.sampler import RunConfig, run
+from motifclust import traceio
+from motifclust.sampler import RunConfig, RunTrace, Snapshot, run
 from motifclust.traceio import (
     TRACE_FORMAT,
     TRACE_VERSION,
     TraceFormatError,
+    atomic_writer,
     export_text,
     load_trace,
     save_trace,
     trace_bytes,
+    trace_lines,
 )
 
 
@@ -98,6 +102,80 @@ class TestDeterministicBytes:
         gz = save_trace(trace, tmp_path / "a.jsonl.gz")
         out = export_text(gz, tmp_path / "exported.jsonl")
         assert out.read_bytes() == plain.read_bytes()
+
+
+class TestHeader:
+    def test_header_line_pinned(self):
+        snap = Snapshot(
+            iteration=0,
+            log_joint=-12.5,
+            z=np.array([0, 0, 1]),
+            offsets=np.array([0, 2, 1]),
+            widths=np.array([6, 7]),
+        )
+        trace = RunTrace(
+            ids=["a", "b", "c"],
+            config=RunConfig(iterations=0, seed=7, align_every=None, audit_every=50),
+            hyper=Hyperparameters(
+                alpha=0.5, b=2, lam=6.0, wmin=4, theta0=(0.3, 0.2, 0.2, 0.3),
+                prior_kind=PriorKind.UNIFORM,
+            ),
+            initial=snap,
+            log_joint_series=np.empty(0),
+            n_clusters_series=np.empty(0, dtype=np.int64),
+            snapshots=[],
+            best=snap,
+        )
+        assert next(trace_lines(trace)) == (
+            '{"kind":"header","format":"motif-cluster-trace","version":1,'
+            '"ids":["a","b","c"],"config":{"iterations":0,"burn_in":0,'
+            '"align_every":null,"thin":1,"seed":7,"record_trace":true,'
+            '"audit_every":50,"init_mode":"singletons"},"hyper":{"alpha":0.5,'
+            '"b":2,"lam":6.0,"wmin":4,"theta0":[0.3,0.2,0.2,0.3],'
+            '"prior_kind":"uniform"},"initial":{"iteration":0,"log_joint":-12.5,'
+            '"z":[0,0,1],"offsets":[0,2,1],"widths":[6,7]}}'
+        )
+
+    def test_dict_round_trips(self):
+        hyper = Hyperparameters(alpha=2, b=0.5, lam=7.0, wmin=5, prior_kind="uniform")
+        config = RunConfig(iterations=30, burn_in=3, align_every=None, thin=2, seed=9)
+        assert Hyperparameters.from_dict(json.loads(json.dumps(hyper.to_dict()))) == hyper
+        assert RunConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
+
+
+class _FailingFile(io.FileIO):
+    """Writes half of what it is given, then fails."""
+
+    def write(self, data):
+        super().write(bytes(data)[: len(data) // 2])
+        raise OSError("disk full")
+
+
+class TestAtomicWrites:
+    def test_failed_block_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"complete")
+        with pytest.raises(RuntimeError):
+            with atomic_writer(path) as fh:
+                fh.write(b"part")
+                raise RuntimeError("crash")
+        assert path.read_bytes() == b"complete"
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("name", ["c.jsonl", "c.jsonl.gz"])
+    def test_failed_save_keeps_previous_trace(self, tmp_path, monkeypatch, name):
+        path = save_trace(small_trace(), tmp_path / name)
+        before = path.read_bytes()
+        monkeypatch.setattr(traceio, "open", lambda p, mode: _FailingFile(p, "w"), raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            save_trace(small_trace(seed=4), path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_compression_follows_final_name(self, tmp_path):
+        path = save_trace(small_trace(), tmp_path / "c.jsonl.gz")
+        assert gzip.decompress(path.read_bytes()) == trace_bytes(small_trace())
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestFormatGuards:
