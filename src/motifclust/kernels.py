@@ -19,7 +19,6 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .matrices import UNIFORM_BACKGROUND
 
@@ -101,6 +100,11 @@ class ClusterStats:
         self.core_counts = arr
 
 
+def _lgamma(x: np.ndarray) -> np.ndarray:
+    """math.lgamma of every entry of a 1-d array, as a float array."""
+    return np.fromiter(map(math.lgamma, x.tolist()), float, len(x))
+
+
 class GammaTables:
     """Log-gamma lookups for integer counts shifted by alpha, of fixed size.
 
@@ -118,9 +122,9 @@ class GammaTables:
         self.alpha = float(alpha)
         self.split = int(size)
         v = np.arange(self.split, dtype=float)
-        self.lut = np.concatenate([gammaln(v + self.alpha), -gammaln(v + 4 * self.alpha)])
+        self.lut = np.concatenate([_lgamma(v + self.alpha), -_lgamma(v + 4 * self.alpha)])
         self.lut.flags.writeable = False
-        self.log_const = float(gammaln(4 * self.alpha) - 4 * gammaln(self.alpha))
+        self.log_const = math.lgamma(4 * self.alpha) - 4 * math.lgamma(self.alpha)
 
     def stack(self, counts: np.ndarray) -> np.ndarray:
         """(5, width) column stack of a (width, 4) count table: the four base
@@ -287,7 +291,7 @@ def log_width_probs(hyper: Hyperparameters, top: int) -> np.ndarray:
 @lru_cache(maxsize=256)
 def _log_width_probs(lam: float, wmin: int, top: int) -> np.ndarray:
     ws = np.arange(wmin, top + 1)
-    raw = ws * math.log(lam) - lam - gammaln(ws)
+    raw = ws * math.log(lam) - lam - _lgamma(ws)
     m = raw.max()
     probs = raw - (m + math.log(np.exp(raw - m).sum()))
     probs.flags.writeable = False

@@ -199,7 +199,11 @@ class SamplerState:
                 f"motifs narrower than wmin={hyper.wmin}: {short}; filter first"
             )
         self._grand_total = np.sum([r.sum(axis=0) for r in raw], axis=0)
-        self.tables: GammaTables = tables_for(hyper.alpha, int(self._grand_total.sum()))
+        # a column total of any core sum is at most the sum, over motifs, of
+        # each motif's largest column total
+        self.tables: GammaTables = tables_for(
+            hyper.alpha, sum(int(r.sum(axis=1).max()) for r in raw)
+        )
         tables = self.tables
         self._log_theta0 = hyper.log_theta0
         self._dp = hyper.prior_kind is PriorKind.DP

@@ -154,7 +154,8 @@ def average_linkage_tree(d: np.ndarray, ids: Sequence[str]) -> TreeNode:
 
     At every step the pair of groups with the smallest average
     dissimilarity merges at that value; ties go to the smallest pair
-    indices so the tree is deterministic.
+    indices so the tree is deterministic.  A merged group takes the index
+    after every existing one.
     """
     d = np.asarray(d, dtype=float)
     n = len(ids)
@@ -166,35 +167,30 @@ def average_linkage_tree(d: np.ndarray, ids: Sequence[str]) -> TreeNode:
         raise ValueError("distances must be symmetric")
     if np.any(np.diag(d) != 0):
         raise ValueError("distances must have a zero diagonal")
+    if not np.all(np.isfinite(d)):
+        raise ValueError("distances must be finite")
 
-    total = 2 * n - 1
-    dist = np.full((total, total), np.inf)
-    dist[:n, :n] = d
+    # live groups in index order; dist[:k, :k] holds their distances above
+    # the diagonal and +inf on and below it, so the first argmin in
+    # row-major order is the smallest pair of indices among the closest
+    dist = np.where(np.tri(n, dtype=bool), np.inf, d)
     nodes = [TreeNode(height=0.0, name=str(ids[i])) for i in range(n)]
     sizes = [1] * n
-    active = list(range(n))
-    while len(active) > 1:
-        best = math.inf
-        bi = bj = -1
-        for a in range(len(active)):
-            for b in range(a + 1, len(active)):
-                i, j = active[a], active[b]
-                if dist[i, j] < best:
-                    best, bi, bj = dist[i, j], i, j
-        merged = TreeNode(height=best, children=(nodes[bi], nodes[bj]))
-        new = len(nodes)
-        nodes.append(merged)
-        sizes.append(sizes[bi] + sizes[bj])
-        for k in active:
-            if k in (bi, bj):
-                continue
-            avg = (sizes[bi] * dist[bi, k] + sizes[bj] * dist[bj, k]) / (
-                sizes[bi] + sizes[bj]
-            )
-            dist[new, k] = dist[k, new] = avg
-        active = [k for k in active if k not in (bi, bj)]
-        active.append(new)
-    return nodes[active[0]]
+    for k in range(n, 1, -1):
+        live = dist[:k, :k]
+        a, b = divmod(int(live.argmin()), k)
+        merged = TreeNode(height=float(live[a, b]), children=(nodes[a], nodes[b]))
+        # distances of a and b to every live group (inf to themselves)
+        da = np.minimum(live[a], live[:, a])
+        db = np.minimum(live[b], live[:, b])
+        avg = (sizes[a] * da + sizes[b] * db) / (sizes[a] + sizes[b])
+        keep = [i for i in range(k) if i != a and i != b]
+        dist[: k - 2, : k - 2] = live[np.ix_(keep, keep)]
+        dist[: k - 2, k - 2] = avg[keep]
+        dist[k - 2, : k - 1] = np.inf
+        sizes = [sizes[i] for i in keep] + [sizes[a] + sizes[b]]
+        nodes = [nodes[i] for i in keep] + [merged]
+    return nodes[0]
 
 
 _PLAIN_LABEL = re.compile(r"^[A-Za-z0-9_.|/-]+$")

@@ -1,6 +1,9 @@
 import gzip
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -278,6 +281,18 @@ class TestSummarize:
         assert entry(["summarize", "--out", str(out)]) == 3
         assert "digest mismatch" in capsys.readouterr().err
 
+    def test_moved_input_warns_and_regenerates(self, motif_file, tmp_path, capsys):
+        out = self.run_once(motif_file, tmp_path)
+        before = tree_of(out)
+        motif_file.rename(tmp_path / "moved.jaspar")
+        for name in SUMMARY_FILES:
+            (out / name).unlink()
+        capsys.readouterr()
+        assert entry(["summarize", "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning") == 1 and motif_file.name in err
+        assert tree_of(out) == before
+
     def test_missing_manifest(self, tmp_path, capsys):
         out = tmp_path / "nothing"
         out.mkdir()
@@ -293,6 +308,23 @@ class TestSummarize:
         before = tree_of(out)
         assert entry(["summarize", "--out", str(out)]) == 0
         assert tree_of(out) == before
+
+
+class TestImports:
+    def test_runtime_imports_no_scipy(self):
+        # the CLI's start-up cost is paid by every run; numpy is its only
+        # third-party import
+        code = (
+            "import sys, motifclust, motifclust.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestPriorSim:

@@ -29,7 +29,7 @@ from motifclust import (
     log_width_prior,
     seq_prior_weights,
 )
-from motifclust.kernels import log_width_probs, tables_for
+from motifclust.kernels import GammaTables, log_width_probs, tables_for
 from motifclust.priorsim import iter_set_partitions
 
 from conftest import ma0011_counts
@@ -421,3 +421,23 @@ def test_tables_grow_by_handing_out_larger_ones():
         float(gammaln(big + 1.0) - gammaln(big + 4.0) + gammaln(4.0)), rel=1e-12
     )
     assert tables_for(1.0, big).split > big
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.5])
+def test_tables_match_scipy_gammaln(alpha):
+    t = GammaTables(alpha)
+    v = np.arange(t.split, dtype=float)
+    expected = np.concatenate([gammaln(v + alpha), -gammaln(v + 4 * alpha)])
+    np.testing.assert_allclose(t.lut, expected, rtol=1e-14, atol=0)
+    assert t.log_const == pytest.approx(
+        float(gammaln(4 * alpha) - 4 * gammaln(alpha)), rel=1e-14, abs=0
+    )
+
+
+@pytest.mark.parametrize("lam, wmin, top", [(8.0, 6, 11), (3.0, 1, 20), (0.5, 2, 40)])
+def test_width_probs_match_scipy_gammaln(lam, wmin, top):
+    ws = np.arange(wmin, top + 1)
+    raw = ws * math.log(lam) - lam - gammaln(ws)
+    expected = raw - np.logaddexp.reduce(raw)
+    got = log_width_probs(Hyperparameters(lam=lam, wmin=wmin), top)
+    np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)

@@ -851,3 +851,33 @@ class TestBatchedWidthSweep:
             seen.update(cl.stats.width for cl in state.clusters.values())
         state.audit()
         assert len(seen) > 1
+
+
+class TestTableBound:
+    def test_table_covers_every_column_total_the_moves_reach(self):
+        # 30 motifs at 200 sites: the summed largest column totals (6000)
+        # exceed the default table, and starting in one cluster reaches them
+        data = planted_motif_groups(
+            n_groups=3, members=10, core_width=6, length=9, sites=200, peak=0.8, seed=3
+        ).records
+        hyper = Hyperparameters(alpha=1.0, b=1.0, lam=6.0, wmin=4)
+        bound = sum(int(r.matrix.counts.sum(axis=1).max()) for r in data)
+        assert bound > 4096
+        rng = np.random.default_rng(4)
+        state = init_state(data, hyper, rng, init_mode="single")
+        assert bound < state.tables.split <= 2 * bound
+        raw = [r.matrix.counts for r in data]
+
+        def check():
+            state.audit()
+            widths = {cid: cl.stats.width for cid, cl in state.clusters.items()}
+            ref = log_joint_from_arrays(state.z, state.offsets, widths, raw, hyper)
+            assert state.log_joint_fast() == pytest.approx(ref, rel=0, abs=1e-9)
+
+        check()
+        for _ in range(3):
+            for i in range(state.n_motifs()):
+                resample_assignment(state, i, rng)
+                resample_alignment(state, i, rng)
+            resample_width(state, sorted(state.clusters), rng)
+            check()

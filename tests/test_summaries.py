@@ -11,6 +11,7 @@ from motifclust.parsers import parse_jaspar
 from motifclust.sampler import RunConfig, Snapshot, run
 from motifclust.summaries import (
     PairwiseMatrix,
+    TreeNode,
     autocorrelation,
     average_linkage_tree,
     best_partition_report,
@@ -114,6 +115,34 @@ class TestPairwise:
         assert len(lines) == 3
 
 
+def loop_average_linkage(d, ids):
+    """Reference: scan every live pair in index order for the smallest
+    average distance (first one wins ties), merge it into a new group
+    that takes the next index, and average its distances by group size."""
+    n = len(ids)
+    dist = np.full((2 * n - 1, 2 * n - 1), np.inf)
+    dist[:n, :n] = d
+    nodes = [TreeNode(height=0.0, name=name) for name in ids]
+    sizes = [1] * n
+    active = list(range(n))
+    while len(active) > 1:
+        best, bi, bj = np.inf, -1, -1
+        for a in range(len(active)):
+            for b in range(a + 1, len(active)):
+                i, j = active[a], active[b]
+                if dist[i, j] < best:
+                    best, bi, bj = dist[i, j], i, j
+        new = len(nodes)
+        nodes.append(TreeNode(height=best, children=(nodes[bi], nodes[bj])))
+        sizes.append(sizes[bi] + sizes[bj])
+        active = [k for k in active if k not in (bi, bj)]
+        for k in active:
+            avg = (sizes[bi] * dist[bi, k] + sizes[bj] * dist[bj, k]) / sizes[new]
+            dist[new, k] = dist[k, new] = avg
+        active.append(new)
+    return nodes[active[0]]
+
+
 class TestAverageLinkageTree:
     def test_two_leaves(self):
         tree = average_linkage_tree(np.array([[0, 0.4], [0.4, 0]]), ["a", "b"])
@@ -172,6 +201,15 @@ class TestAverageLinkageTree:
             average_linkage_tree(bad, ["a", "b"])
         with pytest.raises(ValueError, match="zero diagonal"):
             average_linkage_tree(np.array([[0.1, 0.2], [0.2, 0]]), ["a", "b"])
+        with pytest.raises(ValueError, match="finite"):
+            average_linkage_tree(np.array([[0, np.inf], [np.inf, 0]]), ["a", "b"])
+
+    @pytest.mark.parametrize("n, levels", [(3, 2), (12, 3), (40, 4), (106, 9)])
+    def test_matches_pairwise_loop_on_ties(self, n, levels):
+        rng = np.random.default_rng(n)
+        d = squareform(rng.integers(0, levels, size=n * (n - 1) // 2) / levels)
+        ids = [f"m{i}" for i in range(n)]
+        assert newick(average_linkage_tree(d, ids)) == newick(loop_average_linkage(d, ids))
 
 
 class TestNewick:
