@@ -28,21 +28,7 @@ from .parsers import (
     sniff_format,
     write_jaspar,
 )
-from .kernels import (
-    ClusterStats,
-    Hyperparameters,
-    PriorKind,
-    cluster_strength,
-    log_background,
-    log_dm_column,
-    log_joint,
-    log_marginal_cluster,
-    log_partition_prior,
-    log_pred_join,
-    log_pred_new,
-    log_width_prior,
-    seq_prior_weights,
-)
+from .kernels import Hyperparameters, PriorKind
 
 __version__ = "0.1.0"
 
@@ -66,18 +52,7 @@ __all__ = [
     "records_to_json",
     "sniff_format",
     "write_jaspar",
-    "ClusterStats",
     "Hyperparameters",
     "PriorKind",
-    "cluster_strength",
-    "log_background",
-    "log_dm_column",
-    "log_joint",
-    "log_marginal_cluster",
-    "log_partition_prior",
-    "log_pred_join",
-    "log_pred_new",
-    "log_width_prior",
-    "seq_prior_weights",
     "__version__",
 ]

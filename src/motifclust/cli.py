@@ -32,14 +32,7 @@ import numpy as np
 from . import __version__
 from .kernels import Hyperparameters, PriorKind
 from .matrices import MotifRecord, filter_min_width, validate_records
-from .parsers import (
-    MotifParseError,
-    parse_jaspar,
-    parse_transfac,
-    records_from_json,
-    records_to_json,
-    sniff_format,
-)
+from .parsers import parse_records, records_from_json, records_to_json, sniff_format
 from .priorsim import PriorSimConfig, run_prior_sim, stats_to_tsv
 from .sampler import RunConfig, RunTrace, run
 from .summaries import (
@@ -172,8 +165,8 @@ def _write(path: Path, text: str) -> str:
     return _sha256(data)
 
 
-def _manifest_json(manifest: dict) -> str:
-    return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 # ------------------------------------------------------------------ cluster
@@ -183,7 +176,6 @@ def _read_inputs(args) -> tuple[list[MotifRecord], list[dict], list[str]]:
     records: list[MotifRecord] = []
     entries: list[dict] = []
     warnings: list[str] = []
-    parse_by = {"jaspar": parse_jaspar, "transfac": parse_transfac}
     for raw in args.input:
         path = Path(raw)
         try:
@@ -192,11 +184,8 @@ def _read_inputs(args) -> tuple[list[MotifRecord], list[dict], list[str]]:
             raise InputError(f"cannot read input {path}: {exc}")
         fmt = args.format if args.format != "auto" else sniff_format(text)
         try:
-            if fmt == "json":
-                recs = records_from_json(text)
-            else:
-                recs = parse_by[fmt](text, warnings=warnings)
-        except (MotifParseError, ValueError) as exc:
+            recs = parse_records(text, fmt, warnings)
+        except ValueError as exc:
             raise InputError(f"{path}: {exc}")
         entries.append(
             {
@@ -268,14 +257,11 @@ def _write_summaries(
     diag["best_chain"] = best_idx
     diag["width_interval_level"] = level
     diag["single_point_width_fraction"] = intervals.single_point_fraction()
-    digests["diagnostics.json"] = _write(
-        out / "diagnostics.json", json.dumps(diag, indent=2, sort_keys=True) + "\n"
-    )
+    digests["diagnostics.json"] = _write(out / "diagnostics.json", _json_text(diag))
     return digests
 
 
 def cmd_cluster(args) -> int:
-    out = _resolve_out(args)
     try:
         hyper = Hyperparameters(
             alpha=args.alpha,
@@ -287,14 +273,6 @@ def cmd_cluster(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc))
-    records, input_entries, warnings = _read_inputs(args)
-    if not records:
-        raise InputError("inputs contain no motif records")
-    kept, dropped = filter_min_width(records, hyper.wmin)
-    if not kept:
-        raise InputError(
-            f"all {len(records)} motifs are narrower than min width {hyper.wmin}"
-        )
     chain_seeds = _chain_seeds(args.seed, args.chains)
     try:
         configs = [
@@ -309,6 +287,15 @@ def cmd_cluster(args) -> int:
         ]
     except ValueError as exc:
         raise UsageError(str(exc))
+    out = _resolve_out(args)
+    records, input_entries, warnings = _read_inputs(args)
+    if not records:
+        raise InputError("inputs contain no motif records")
+    kept, dropped = filter_min_width(records, hyper.wmin)
+    if not kept:
+        raise InputError(
+            f"all {len(records)} motifs are narrower than min width {hyper.wmin}"
+        )
 
     trace_suffix = ".jsonl.gz" if args.trace_gz else ".jsonl"
     trace_names = [f"trace_chain{k:02d}{trace_suffix}" for k in range(args.chains)]
@@ -346,7 +333,7 @@ def cmd_cluster(args) -> int:
     }
     digests = {PARSED_NAME: _write(out / PARSED_NAME, records_to_json(kept))}
     manifest["digests"] = dict(sorted(digests.items()))
-    _write(out / MANIFEST_NAME, _manifest_json(manifest))  # pre-run manifest
+    _write(out / MANIFEST_NAME, _json_text(manifest))  # pre-run manifest
 
     def run_chain(k: int, config: RunConfig) -> RunTrace:
         try:
@@ -362,7 +349,7 @@ def cmd_cluster(args) -> int:
 
     digests.update(_write_summaries(out, traces, kept, hyper, level=0.95))
     manifest["digests"] = dict(sorted(digests.items()))
-    _write(out / MANIFEST_NAME, _manifest_json(manifest))
+    _write(out / MANIFEST_NAME, _json_text(manifest))
     print(f"clustered {len(kept)} motifs ({len(dropped)} dropped) -> {out}")
     return 0
 
@@ -413,9 +400,9 @@ def cmd_summarize(args) -> int:
 
 
 def cmd_prior_sim(args) -> int:
-    out = _resolve_out(args)
     if args.b <= 0:
         raise UsageError("--b must be positive")
+    out = _resolve_out(args)
     kinds = (
         [PriorKind.DP, PriorKind.UNIFORM]
         if args.prior == "both"

@@ -178,12 +178,6 @@ def log_dm_column(counts: Sequence[int], alpha: float) -> float:
     return tables_for(alpha).log_dm_matrix(arr[None, :])
 
 
-def log_marginal_cluster(stats: ClusterStats, alpha: float) -> float:
-    """Log marginal likelihood of a cluster's summed core counts: the product
-    of independent column marginals."""
-    return tables_for(alpha).log_dm_matrix(stats.core_counts)
-
-
 def _core_array(core) -> np.ndarray:
     arr = np.asarray(core, dtype=np.int64)
     if arr.ndim != 2 or arr.shape[1] != 4:

@@ -52,12 +52,11 @@ def parse_jaspar(text: str, warnings: list[str] | None = None) -> list[MotifReco
     lines = text.splitlines()
 
     header: tuple[str, str | None, int] | None = None
-    rows: dict[str, tuple[np.ndarray, int]] = {}
-    row_order: list[str] = []
+    rows: dict[str, np.ndarray] = {}
     saw_header = False
 
     def flush(end_line: int) -> None:
-        nonlocal header, rows, row_order
+        nonlocal header, rows
         if header is None and not rows:
             return
         if header is None:
@@ -69,7 +68,7 @@ def parse_jaspar(text: str, warnings: list[str] | None = None) -> list[MotifReco
             raise MotifParseError(
                 f"record {rec_id!r} is missing base row(s) {', '.join(missing)}", at_line
             )
-        lengths = {b: len(rows[b][0]) for b in BASES}
+        lengths = {b: len(rows[b]) for b in BASES}
         if len(set(lengths.values())) != 1:
             raise MotifParseError(
                 f"record {rec_id!r} has unequal row lengths {lengths}", at_line
@@ -82,9 +81,9 @@ def parse_jaspar(text: str, warnings: list[str] | None = None) -> list[MotifReco
                 at_line,
             )
         seen_ids[rec_id] = at_line
-        counts = np.stack([rows[b][0] for b in BASES], axis=1)
+        counts = np.stack([rows[b] for b in BASES], axis=1)
         records.append(MotifRecord(id=rec_id, matrix=CountMatrix(counts), name=rec_name))
-        header, rows, row_order = None, {}, []
+        header, rows = None, {}
 
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -106,11 +105,9 @@ def parse_jaspar(text: str, warnings: list[str] | None = None) -> list[MotifReco
         if base in rows:
             raise MotifParseError(f"repeated base row {base!r}", line_no)
         toks = m.group(2).split()
-        values = np.array(
+        rows[base] = np.array(
             [_parse_count_token(t, line_no) for t in toks], dtype=np.int64
         )
-        rows[base] = (values, line_no)
-        row_order.append(base)
 
     flush(len(lines) + 1)
     if not saw_header and len(records) > 1:
@@ -192,8 +189,7 @@ def parse_transfac(text: str, warnings: list[str] | None = None) -> list[MotifRe
                         line_no,
                     )
                 p0_line = line_no
-            elif col_order is not None and _TRANSFAC_ROW.match(line.strip()):
-                m = _TRANSFAC_ROW.match(line.strip())
+            elif col_order is not None and (m := _TRANSFAC_ROW.match(line.strip())):
                 idx = int(m.group(1))
                 toks = m.group(2).split()
                 if len(toks) < 4:
@@ -296,17 +292,24 @@ def records_from_json(text: str) -> list[MotifRecord]:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MotifParseError(f"invalid JSON: {exc}") from None
-    if payload.get("format") != RECORDS_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != RECORDS_FORMAT:
         raise MotifParseError(f"not a {RECORDS_FORMAT} document")
     if payload.get("version") != RECORDS_VERSION:
         raise MotifParseError(f"unsupported records version {payload.get('version')!r}")
+    if not isinstance(payload.get("records"), list):
+        raise MotifParseError("no records list")
     records = []
-    for entry in payload["records"]:
-        counts = np.array(entry["counts"], dtype=np.int64).T
+    for k, entry in enumerate(payload["records"]):
+        if not isinstance(entry, dict) or "id" not in entry or "counts" not in entry:
+            raise MotifParseError(f"records entry {k} lacks an id or counts")
+        try:
+            matrix = CountMatrix(np.array(entry["counts"], dtype=np.int64).T)
+        except (TypeError, ValueError) as exc:
+            raise MotifParseError(f"records entry {k}: bad counts: {exc}") from None
         records.append(
             MotifRecord(
                 id=entry["id"],
-                matrix=CountMatrix(counts),
+                matrix=matrix,
                 name=entry.get("name"),
                 family=entry.get("family"),
                 species=entry.get("species"),
@@ -328,19 +331,14 @@ def sniff_format(text: str) -> str:
             return "transfac"
         if line.startswith("{"):
             return "json"
-        if _JASPAR_ROW.match(line):
-            return "jaspar"
         return "jaspar"
     return "jaspar"
 
 
-def load_records(
-    path: str | Path, fmt: str = "auto", warnings: list[str] | None = None
+def parse_records(
+    text: str, fmt: str, warnings: list[str] | None = None
 ) -> list[MotifRecord]:
-    """Read one motif file; fmt is 'auto', 'jaspar', 'transfac' or 'json'."""
-    text = Path(path).read_text()
-    if fmt == "auto":
-        fmt = sniff_format(text)
+    """Parse motif text in format fmt: 'jaspar', 'transfac' or 'json'."""
     if fmt == "jaspar":
         return parse_jaspar(text, warnings=warnings)
     if fmt == "transfac":
@@ -348,3 +346,12 @@ def load_records(
     if fmt == "json":
         return records_from_json(text)
     raise ValueError(f"unknown format {fmt!r}")
+
+
+def load_records(
+    path: str | Path, fmt: str = "auto", warnings: list[str] | None = None
+) -> list[MotifRecord]:
+    """Read one motif file; fmt is 'auto' (see sniff_format) or a format
+    parse_records reads."""
+    text = Path(path).read_text()
+    return parse_records(text, sniff_format(text) if fmt == "auto" else fmt, warnings)

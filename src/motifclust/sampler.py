@@ -26,7 +26,6 @@ from .kernels import (
     GammaTables,
     Hyperparameters,
     PriorKind,
-    log_joint_from_arrays,
     log_partition_prior,
     log_width_probs,
     tables_for,
@@ -118,19 +117,13 @@ class _Cluster:
     segment in the state's column table.  stats.core_counts is a (width, 4)
     view of that segment."""
 
-    __slots__ = ("cid", "stats", "members", "seg", "start", "tables")
+    __slots__ = ("cid", "stats", "members", "seg", "start")
 
-    def __init__(self, cid: int, stats: ClusterStats, members: set[int], tables: GammaTables):
+    def __init__(self, cid: int, stats: ClusterStats, members: set[int]):
         self.cid = cid
         self.stats = stats
         self.members = members
         self.seg = self.start = -1
-        self.tables = tables
-
-    @property
-    def logm(self) -> float:
-        """Log marginal likelihood of the summed core counts."""
-        return self.tables.log_dm_matrix(self.stats.core_counts)
 
 
 class SamplerState:
@@ -360,12 +353,18 @@ class SamplerState:
         cols[4] += self.tables.split
         return cols
 
-    def _new_cluster(self, cols: np.ndarray, members: set[int]) -> int:
-        """Open a cluster holding `cols` (a column stack) for these members."""
+    def _new_cluster(self, members: set[int], width: int) -> int:
+        """Open a cluster of these members, each one's core `width` columns
+        wide at its current offset."""
+        cols = np.zeros((5, width), dtype=np.int64, order="F")
+        for i in members:
+            at = self._base[i] + int(self.offsets[i])
+            cols += self._flat[:, at : at + width]
+        cols[4] += self.tables.split
         cid = self._next_id
         self._next_id += 1
-        stats = ClusterStats(width=cols.shape[1], core_counts=cols[:4].T, member_count=len(members))
-        cl = _Cluster(cid, stats, members, self.tables)
+        stats = ClusterStats(width=width, core_counts=cols[:4].T, member_count=len(members))
+        cl = _Cluster(cid, stats, members)
         self._place([cl], cols)
         self.clusters[cid] = cl
         self.background -= np.add.reduce(cols[:4], axis=1)
@@ -540,12 +539,9 @@ def init_state(
 
     for group in groups:
         w = min(target_w, min(int(state.lengths[i]) for i in group))
-        counts = np.zeros((w, 4), dtype=np.int64)
         for i in group:
-            o = int(rng.integers(0, int(state.lengths[i]) - w + 1))
-            state.offsets[i] = o
-            counts += state.core(i, o, w)
-        state._new_cluster(state.tables.stack(counts), set(group))
+            state.offsets[i] = rng.integers(0, int(state.lengths[i]) - w + 1)
+        state._new_cluster(set(group), w)
     return state
 
 
@@ -613,7 +609,7 @@ def resample_assignment(state: SamplerState, i: int, rng: np.random.Generator) -
         if cl.stats.member_count > 1:
             state.detach(i)
             state.offsets[i] = o
-            state._new_cluster(state._core_cols(i, o, w_new), {i})
+            state._new_cluster({i}, w_new)
         elif w_new != w_old:
             # a singleton stays alone only through this option, so it keeps
             # its id and segment, moved only when its width is redrawn
@@ -799,23 +795,9 @@ def state_from_snapshot(
         members = {i for i in range(state.n_motifs()) if int(snap.z[i]) == lab}
         if not members:
             raise ValueError(f"snapshot cluster {lab} has no members")
-        w = int(snap.widths[lab])
-        counts = np.zeros((w, 4), dtype=np.int64)
-        for i in members:
-            o = int(state.offsets[i])
-            counts += state.core(i, o, w)
-        state._new_cluster(state.tables.stack(counts), members)
+        state._new_cluster(members, int(snap.widths[lab]))
     state.audit()
     return state
-
-
-def log_joint_of_snapshot(
-    data: Sequence[MotifRecord], hyper: Hyperparameters, snap: Snapshot
-) -> float:
-    """Recompute a snapshot's joint log density from raw matrices alone."""
-    widths = {lab: int(snap.widths[lab]) for lab in range(snap.widths.shape[0])}
-    raw = [rec.matrix.counts for rec in data]
-    return log_joint_from_arrays(snap.z, snap.offsets, widths, raw, hyper)
 
 
 def membership_probability(

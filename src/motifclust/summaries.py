@@ -10,11 +10,10 @@ agreement) live here as well since they are trace post-processing too.
 
 from __future__ import annotations
 
-import json
 import math
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -217,100 +216,6 @@ def newick(tree: TreeNode) -> str:
     return fmt(tree) + ";"
 
 
-class _NewickReader:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, what: str):
-        raise ValueError(f"newick parse error at {self.pos}: {what}")
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self) -> str:
-        ch = self.peek()
-        self.pos += 1
-        return ch
-
-    def label(self) -> str:
-        if self.peek() == "'":
-            self.take()
-            out: list[str] = []
-            while True:
-                ch = self.take()
-                if ch == "":
-                    self.error("unterminated quoted label")
-                if ch == "'":
-                    if self.peek() == "'":
-                        out.append(self.take())
-                    else:
-                        return "".join(out)
-                else:
-                    out.append(ch)
-        start = self.pos
-        while self.peek() not in ("", "(", ")", ",", ":", ";"):
-            self.take()
-        return self.text[start : self.pos]
-
-    def branch_length(self) -> float:
-        if self.peek() != ":":
-            self.error("expected ':' before branch length")
-        self.take()
-        start = self.pos
-        while self.peek() not in ("", "(", ")", ",", ";"):
-            self.take()
-        try:
-            return float(self.text[start : self.pos])
-        except ValueError:
-            self.error(f"bad branch length {self.text[start:self.pos]!r}")
-
-    def node(self) -> tuple["_ParsedNode", float | None]:
-        if self.peek() == "(":
-            self.take()
-            children = [self.node()]
-            while self.peek() == ",":
-                self.take()
-                children.append(self.node())
-            if self.take() != ")":
-                self.error("expected ')'")
-            length = self.branch_length() if self.peek() == ":" else None
-            return _ParsedNode(name=None, children=children), length
-        name = self.label()
-        length = self.branch_length() if self.peek() == ":" else None
-        return _ParsedNode(name=name, children=[]), length
-
-
-@dataclass
-class _ParsedNode:
-    name: str | None
-    children: list[tuple["_ParsedNode", float | None]] = field(default_factory=list)
-
-
-def parse_newick(text: str) -> TreeNode:
-    """Parse a Newick string back into a TreeNode; node heights are
-    reconstructed from branch lengths (leaves sit at height 0)."""
-    reader = _NewickReader(text.strip())
-    root, _ = reader.node()
-    if reader.take() != ";":
-        reader.error("expected ';'")
-
-    def build(parsed: _ParsedNode) -> TreeNode:
-        if not parsed.children:
-            return TreeNode(height=0.0, name=parsed.name)
-        kids = []
-        height = 0.0
-        for child, length in parsed.children:
-            node = build(child)
-            if length is None:
-                raise ValueError("internal edges must carry branch lengths")
-            height = max(height, node.height + length)
-            kids.append(node)
-        return TreeNode(height=height, children=tuple(kids))
-
-    return build(root)
-
-
 # ------------------------------------------------------- partition report
 
 
@@ -458,18 +363,14 @@ class WidthIntervals:
         return float(np.mean(self.lower == self.upper))
 
 
-def width_intervals(trace: RunTrace, level: float = 0.95) -> WidthIntervals:
+def width_intervals_from_snapshots(
+    ids: Sequence[str], snapshots: Sequence[Snapshot], level: float = 0.95
+) -> WidthIntervals:
     """Per-motif equal-tailed interval of cluster width over snapshots.
 
     With S snapshots, k = max(1, floor(S*(1-level)/2)) order statistics
     are trimmed from each tail.
     """
-    return width_intervals_from_snapshots(trace.ids, trace.snapshots, level)
-
-
-def width_intervals_from_snapshots(
-    ids: Sequence[str], snapshots: Sequence[Snapshot], level: float = 0.95
-) -> WidthIntervals:
     if not 0 < level < 1:
         raise ValueError("level must lie strictly between 0 and 1")
     if not snapshots:
@@ -541,6 +442,3 @@ def diagnostics_report(
         "max_cross_chain_pairwise_difference": max_pairwise_discrepancy(matrices),
     }
 
-
-def diagnostics_json(traces: Sequence[RunTrace], lags: Sequence[int] = (1, 5, 10, 50)) -> str:
-    return json.dumps(diagnostics_report(traces, lags), indent=2, sort_keys=True) + "\n"

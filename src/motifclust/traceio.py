@@ -12,7 +12,7 @@ complete line.  Record kinds:
 
 Paths ending in ".gz" select the compact variant: the identical byte
 stream, gzip-compressed with a zeroed timestamp so reruns stay
-byte-identical.  `export_text` turns a compact file back into plain text.
+byte-identical; `gunzip -c` turns a compact file back into plain text.
 Files are written through `atomic_writer`, so a failed write never leaves a
 partial file under the final name.  All offsets are 0-based.
 """
@@ -127,18 +127,12 @@ def _read_text(path: Path) -> str:
     return path.read_text(encoding="ascii")
 
 
-def export_text(src: str | Path, dest: str | Path) -> Path:
-    """Write the plain-text form of a (possibly compressed) trace file."""
-    dest = Path(dest)
-    dest.write_text(_read_text(Path(src)), encoding="ascii")
-    return dest
-
-
 def load_trace(path: str | Path) -> RunTrace:
     """Read a trace file back into a RunTrace.
 
     Fails with TraceFormatError on a missing or foreign header, an
-    unsupported version, or a truncated file (no best record).
+    unsupported version, a missing or repeated iteration record, or a
+    truncated file (no best record).
     """
     lines = [line for line in _read_text(Path(path)).splitlines() if line]
     if not lines:
@@ -155,7 +149,7 @@ def load_trace(path: str | Path) -> RunTrace:
     hyper = Hyperparameters.from_dict(header["hyper"])
     log_joint = np.empty(config.iterations)
     n_clusters = np.empty(config.iterations, dtype=np.int64)
-    seen_iters = 0
+    seen = np.zeros(config.iterations, dtype=bool)
     snapshots: list[Snapshot] = []
     best: Snapshot | None = None
     for line in lines[1:]:
@@ -165,18 +159,20 @@ def load_trace(path: str | Path) -> RunTrace:
             t = rec["t"]
             if not 1 <= t <= config.iterations:
                 raise TraceFormatError(f"{path}: iteration {t} out of range")
+            if seen[t - 1]:
+                raise TraceFormatError(f"{path}: repeated iteration {t}")
+            seen[t - 1] = True
             log_joint[t - 1] = rec["log_joint"]
             n_clusters[t - 1] = rec["n_clusters"]
-            seen_iters += 1
         elif kind == "snapshot":
             snapshots.append(_snapshot_from(rec))
         elif kind == "best":
             best = _snapshot_from(rec)
         else:
             raise TraceFormatError(f"{path}: unknown record kind {kind!r}")
-    if seen_iters != config.iterations:
+    if not seen.all():
         raise TraceFormatError(
-            f"{path}: {seen_iters} iteration records, expected {config.iterations}"
+            f"{path}: {int(seen.sum())} iteration records, expected {config.iterations}"
         )
     if best is None:
         raise TraceFormatError(f"{path}: truncated file, no best record")

@@ -201,6 +201,30 @@ class TestExitCodes:
         assert rc == 2
         assert "bad.jaspar" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            "[1, 2]",
+            '{"format": "motifclust-records", "version": 1}',
+            '{"format": "motifclust-records", "version": 1, "records": [{"counts": []}]}',
+            '{"format": "motifclust-records", "version": 1, "records": [{"id": "a", "counts": null}]}',
+        ],
+        ids=["list", "no-records", "no-id", "null-counts"],
+    )
+    def test_malformed_json_input(self, tmp_path, capsys, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(payload)
+        assert entry(cluster_args(bad, tmp_path / "r", format="json")) == 2
+        assert "bad.json" in capsys.readouterr().err
+
+    def test_flag_error_leaves_no_out_dir(self, motif_file, tmp_path):
+        out = tmp_path / "r"
+        assert entry(cluster_args(motif_file, out, alpha=-1)) == 1
+        assert not out.exists()
+        assert entry(["prior-sim", "--n", "5", "--replicates", "10",
+                      "--b", "-1", "--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_duplicate_ids_rejected(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         rec = MotifRecord(id="dup", matrix=CountMatrix(rng.integers(1, 9, (8, 4))))

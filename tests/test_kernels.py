@@ -15,21 +15,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from motifclust import (
+from motifclust.kernels import (
     ClusterStats,
+    GammaTables,
     Hyperparameters,
     PriorKind,
     cluster_strength,
     log_background,
     log_dm_column,
-    log_marginal_cluster,
     log_partition_prior,
     log_pred_join,
     log_pred_new,
     log_width_prior,
+    log_width_probs,
     seq_prior_weights,
+    tables_for,
 )
-from motifclust.kernels import GammaTables, log_width_probs, tables_for
 from motifclust.priorsim import iter_set_partitions
 
 from conftest import ma0011_counts
@@ -85,18 +86,21 @@ def test_log_dm_column_large_counts_finite():
 
 
 # ------------------------------------------------------------ cluster marginal
+# a cluster's log marginal is log_pred_new of its summed core counts
 
 def test_log_marginal_cluster_spot_values():
     empty = stats_for(np.zeros((3, 4), dtype=int))
-    assert log_marginal_cluster(empty, 1.0) == pytest.approx(0.0, abs=1e-12)
+    assert log_pred_new(empty.core_counts, HYPER_DP) == pytest.approx(0.0, abs=1e-12)
     # width-1 (4,0,0,0): Gamma(5)Gamma(4)/Gamma(8) = 24*6/5040 = 1/35
     one = stats_for([[4, 0, 0, 0]])
-    assert log_marginal_cluster(one, 1.0) == pytest.approx(math.log(1 / 35), abs=1e-9)
+    assert log_pred_new(one.core_counts, HYPER_DP) == pytest.approx(
+        math.log(1 / 35), abs=1e-9
+    )
 
 
 def test_log_marginal_cluster_is_column_sum():
     counts = ma0011_counts()
-    total = log_marginal_cluster(stats_for(counts), 1.0)
+    total = log_pred_new(stats_for(counts).core_counts, HYPER_DP)
     per_column = sum(log_dm_column(counts[j], 1.0) for j in range(8))
     assert total == pytest.approx(per_column, abs=1e-9)
 
@@ -149,7 +153,7 @@ def test_log_pred_join_telescopes(seed):
     merged = stats_for(a + bcounts)
     cl = stats_for(bcounts)
     lhs = log_pred_join(a, cl, HYPER_DP)
-    rhs = log_marginal_cluster(merged, 1.0) - log_marginal_cluster(cl, 1.0)
+    rhs = log_pred_new(merged.core_counts, HYPER_DP) - log_pred_new(cl.core_counts, HYPER_DP)
     assert lhs == pytest.approx(rhs, abs=1e-9)
 
 

@@ -6,19 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motifclust import (
+from motifclust import CountMatrix, MotifRecord
+from motifclust.kernels import (
     ClusterStats,
-    CountMatrix,
     Hyperparameters,
-    MotifRecord,
     PriorKind,
     log_background,
+    log_joint_from_arrays,
     log_pred_join,
     log_pred_new,
     log_width_prior,
     seq_prior_weights,
 )
-from motifclust.kernels import log_joint_from_arrays
 from motifclust.sampler import (
     RunConfig,
     _alignment_weights,
@@ -27,7 +26,6 @@ from motifclust.sampler import (
     _width_weights,
     Snapshot,
     init_state,
-    log_joint_of_snapshot,
     membership_probability,
     own_cluster_probability,
     resample_alignment,
@@ -103,7 +101,12 @@ class TestMembershipConditional:
         off_before = state.offsets.copy()
         bg_before = state.background.copy()
         stats_before = {
-            cid: (cl.stats.width, cl.stats.core_counts.copy(), cl.stats.member_count, cl.logm)
+            cid: (
+                cl.stats.width,
+                cl.stats.core_counts.copy(),
+                cl.stats.member_count,
+                state.tables.log_dm_matrix(cl.stats.core_counts),
+            )
             for cid, cl in state.clusters.items()
         }
         membership_probability(state, 0)
@@ -117,7 +120,7 @@ class TestMembershipConditional:
             assert cl.stats.width == w
             assert np.array_equal(cl.stats.core_counts, counts)
             assert cl.stats.member_count == m
-            assert cl.logm == logm
+            assert state.tables.log_dm_matrix(cl.stats.core_counts) == logm
         state.audit()
 
     def test_own_cluster_probability_for_singleton(self):
@@ -411,8 +414,10 @@ class TestRunLoop:
         data = self.small_data()
         hyper = self.hyper()
         trace = run(data, hyper, RunConfig(iterations=25, burn_in=5, seed=4))
+        raw = [rec.matrix.counts for rec in data]
         for snap in [trace.initial, trace.best] + trace.snapshots[::5]:
-            ref = log_joint_of_snapshot(data, hyper, snap)
+            widths = {lab: int(w) for lab, w in enumerate(snap.widths)}
+            ref = log_joint_from_arrays(snap.z, snap.offsets, widths, raw, hyper)
             assert snap.log_joint == pytest.approx(ref, abs=1e-9)
 
     def test_snapshots_use_canonical_labels(self):

@@ -7,6 +7,7 @@ from scipy.cluster.hierarchy import linkage
 from scipy.spatial.distance import squareform
 
 from motifclust import CountMatrix, Hyperparameters, MotifRecord
+from motifclust.cli import _json_text
 from motifclust.parsers import parse_jaspar
 from motifclust.sampler import RunConfig, Snapshot, run
 from motifclust.summaries import (
@@ -15,7 +16,6 @@ from motifclust.summaries import (
     autocorrelation,
     average_linkage_tree,
     best_partition_report,
-    diagnostics_json,
     diagnostics_report,
     export_super_matrices,
     ic_table_tsv,
@@ -23,10 +23,9 @@ from motifclust.summaries import (
     newick,
     pairwise_probabilities,
     pairwise_tsv,
-    parse_newick,
     pooled_pairwise_probabilities,
     report_text,
-    width_intervals,
+    width_intervals_from_snapshots,
     width_intervals_tsv,
 )
 from motifclust.sampler import RunTrace
@@ -213,30 +212,16 @@ class TestAverageLinkageTree:
 
 
 class TestNewick:
-    def roundtrip(self, tree):
-        return parse_newick(newick(tree))
-
-    def test_heights_roundtrip_within_1e9(self):
-        rng = np.random.default_rng(11)
-        d = squareform(rng.uniform(0.05, 1.0, size=28))
-        tree = average_linkage_tree(d, [f"m{i}" for i in range(8)])
-        back = self.roundtrip(tree)
-        assert back.merge_heights() == pytest.approx(
-            tree.merge_heights(), abs=1e-9
-        )
-        assert sorted(back.leaf_names()) == sorted(tree.leaf_names())
+    def test_branch_lengths_are_height_differences(self):
+        d = np.array([[0, 0.2, 0.6], [0.2, 0, 0.8], [0.6, 0.8, 0]])
+        tree = average_linkage_tree(d, ["a", "b", "c"])
+        # a and b merge at 0.2, then c joins at their average 0.7
+        assert newick(tree) == "(c:0.7,(a:0.2,b:0.2):0.5);"
 
     def test_awkward_labels_quoted(self):
         d = np.array([[0, 0.4], [0.4, 0]])
         tree = average_linkage_tree(d, ["has space", "par(en)'s"])
-        back = self.roundtrip(tree)
-        assert sorted(back.leaf_names()) == ["has space", "par(en)'s"]
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_newick("(a:0.4,b:0.4)")  # no semicolon
-        with pytest.raises(ValueError):
-            parse_newick("(a:0.4,b:xyz);")
+        assert newick(tree) == "('has space':0.4,'par(en)''s':0.4);"
 
 
 def cluster_pair_records(counts_a, n_copies, ids=None):
@@ -365,47 +350,43 @@ class TestExports:
 
 
 class TestWidthIntervals:
-    def trace_with_widths(self, widths):
-        snaps = [snap([0], [0], [w]) for w in widths]
-        return fake_trace(["m0"], snaps)
+    def snaps_with_widths(self, widths):
+        return [snap([0], [0], [w]) for w in widths]
 
     def test_point_interval(self):
-        wi = width_intervals(self.trace_with_widths([6] * 10), 0.95)
+        wi = width_intervals_from_snapshots(["m0"], self.snaps_with_widths([6] * 10), 0.95)
         assert (int(wi.lower[0]), int(wi.upper[0])) == (6, 6)
         assert wi.single_point_fraction() == 1.0
 
     def test_equal_tailed_quantiles(self):
         widths = [6] * 2 + [7] * 96 + [8] * 2
-        wi = width_intervals(self.trace_with_widths(widths), 0.95)
+        wi = width_intervals_from_snapshots(["m0"], self.snaps_with_widths(widths), 0.95)
         assert (int(wi.lower[0]), int(wi.upper[0])) == (6, 8)
 
     def test_tighter_trim_at_lower_level(self):
         widths = [6] * 2 + [7] * 96 + [8] * 2
-        wi = width_intervals(self.trace_with_widths(widths), 0.90)
+        wi = width_intervals_from_snapshots(["m0"], self.snaps_with_widths(widths), 0.90)
         assert (int(wi.lower[0]), int(wi.upper[0])) == (7, 7)
 
     def test_level_bounds(self):
-        trace = self.trace_with_widths([6])
+        snaps = self.snaps_with_widths([6])
         for level in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValueError, match="level"):
-                width_intervals(trace, level)
+                width_intervals_from_snapshots(["m0"], snaps, level)
 
     def test_empty_trace_rejected(self):
-        trace = self.trace_with_widths([6])
-        trace.snapshots = []
         with pytest.raises(ValueError, match="no recorded snapshots"):
-            width_intervals(trace)
+            width_intervals_from_snapshots(["m0"], [])
 
     def test_widths_follow_cluster_assignment(self):
         snaps = [snap([0, 1], [0, 0], [5, 9]), snap([1, 0], [0, 0], [4, 8])]
-        trace = fake_trace(["a", "b"], snaps)
-        wi = width_intervals(trace, 0.5)
+        wi = width_intervals_from_snapshots(["a", "b"], snaps, 0.5)
         assert (int(wi.lower[0]), int(wi.upper[0])) == (5, 8)
         assert (int(wi.lower[1]), int(wi.upper[1])) == (4, 9)
 
     def test_tsv(self):
-        text = width_intervals_tsv(width_intervals(self.trace_with_widths([6] * 4)))
-        assert text.splitlines() == ["id\tlower\tupper", "m0\t6\t6"]
+        wi = width_intervals_from_snapshots(["m0"], self.snaps_with_widths([6] * 4))
+        assert width_intervals_tsv(wi).splitlines() == ["id\tlower\tupper", "m0\t6\t6"]
 
 
 class TestDiagnostics:
@@ -438,5 +419,5 @@ class TestDiagnostics:
         assert len(rep["chains"]) == 2
         assert rep["chains"][0]["seed"] == 0
         assert 0 <= rep["max_cross_chain_pairwise_difference"] <= 1
-        parsed = json.loads(diagnostics_json(traces))
+        parsed = json.loads(_json_text(rep))
         assert parsed["lags"] == [1, 5, 10, 50]

@@ -13,7 +13,6 @@ from motifclust.traceio import (
     TRACE_VERSION,
     TraceFormatError,
     atomic_writer,
-    export_text,
     load_trace,
     save_trace,
     trace_bytes,
@@ -96,12 +95,11 @@ class TestDeterministicBytes:
         p2 = save_trace(trace, tmp_path / "b.jsonl.gz")
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_export_text_matches_plain_save(self, tmp_path):
+    def test_gunzip_matches_plain_save(self, tmp_path):
         trace = small_trace()
         plain = save_trace(trace, tmp_path / "a.jsonl")
         gz = save_trace(trace, tmp_path / "a.jsonl.gz")
-        out = export_text(gz, tmp_path / "exported.jsonl")
-        assert out.read_bytes() == plain.read_bytes()
+        assert gzip.decompress(gz.read_bytes()) == plain.read_bytes()
 
 
 class TestHeader:
@@ -222,6 +220,15 @@ class TestFormatGuards:
         kept = [ln for ln in lines if json.loads(ln).get("t") != 5]
         path.write_text("\n".join(kept) + "\n")
         with pytest.raises(TraceFormatError, match="iteration records"):
+            load_trace(path)
+
+    def test_repeated_iteration_rejected(self, tmp_path):
+        path = save_trace(small_trace(), tmp_path / "c.jsonl")
+        lines = path.read_text().splitlines()
+        assert json.loads(lines[2])["t"] == 2
+        lines[2] = lines[1]  # iteration 1 twice, iteration 2 missing
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceFormatError, match="repeated iteration 1"):
             load_trace(path)
 
     def test_unknown_record_kind_rejected(self, tmp_path):
