@@ -1,18 +1,24 @@
 import gzip
 import io
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from motifclust import CountMatrix, MotifRecord
-from motifclust import cli, traceio
+from motifclust import cli, sampler, traceio
 from motifclust.cli import entry
+from motifclust.kernels import Hyperparameters
+from motifclust.matrices import filter_min_width
 from motifclust.parsers import parse_jaspar, write_jaspar
+from motifclust.sampler import RunConfig
 from motifclust.synthetic import planted_motif_groups
 from motifclust.traceio import load_trace
 
@@ -123,8 +129,22 @@ class TestCluster:
         assert entry(args) == 0
         assert (out / "manifest.json").exists()
 
-    def test_failing_chain_named(self, motif_file, tmp_path, monkeypatch, capsys):
-        bad_seed = cli._chain_seeds(5, 3)[1]
+    def test_process_chains_match_serial_runs(self, motif_file, tmp_path):
+        out = tmp_path / "run"
+        assert entry(cluster_args(motif_file, out, chains=3)) == 0
+        assert multiprocessing.active_children() == []
+        kept, _ = filter_min_width(parse_jaspar(motif_file.read_text()), 6)
+        hyper = Hyperparameters(lam=12.0)
+        for k, seed in enumerate(cli._chain_seeds(5, 3)):
+            config = RunConfig(iterations=60, align_every=1, seed=seed)
+            serial = traceio.save_trace(sampler.run(kept, hyper, config),
+                                        tmp_path / f"serial{k}.jsonl")
+            assert (out / f"trace_chain{k:02d}.jsonl").read_bytes() == serial.read_bytes(), k
+
+    def fail_chain(self, k, motif_file, tmp_path, monkeypatch, capsys):
+        """Run 3 chains with chain k raising; chain 0 runs in this process,
+        1 and 2 in pool workers, which inherit the patched `run` by fork."""
+        bad_seed = cli._chain_seeds(5, 3)[k]
         real_run = cli.run
 
         def run(data, hyper, config):
@@ -134,7 +154,61 @@ class TestCluster:
 
         monkeypatch.setattr(cli, "run", run)
         assert entry(cluster_args(motif_file, tmp_path / "r", chains=3)) == 3
-        assert "motifclust: error: chain 1: sampler blew up" in capsys.readouterr().err
+        assert f"motifclust: error: chain {k}: sampler blew up" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
+    def test_failing_chain_named(self, motif_file, tmp_path, monkeypatch, capsys):
+        self.fail_chain(1, motif_file, tmp_path, monkeypatch, capsys)
+
+    @pytest.mark.parametrize("k", [0, 2], ids=["coordinator", "last-worker"])
+    def test_failing_chain_joins_pool(self, k, motif_file, tmp_path, monkeypatch, capsys):
+        self.fail_chain(k, motif_file, tmp_path, monkeypatch, capsys)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
+    def test_killed_coordinator_leaves_no_worker(self, motif_file, tmp_path):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = "import sys; from motifclust.cli import entry; sys.exit(entry(sys.argv[1:]))"
+        args = cluster_args(motif_file, tmp_path / "r", chains=2, iters=100000)
+        coordinator = subprocess.Popen([sys.executable, "-c", code, *args],
+                                       env={**os.environ, "PYTHONPATH": src})
+
+        def stat(pid):  # (state letter, parent pid), or None once reaped
+            try:
+                fields = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+            except OSError:
+                return None
+            return fields[0], int(fields[1])
+
+        def children():
+            return [int(d) for d in os.listdir("/proc")
+                    if d.isdigit() and (stat(d) or ("", 0))[1] == coordinator.pid]
+
+        def wait_for(condition, seconds):
+            deadline = time.monotonic() + seconds
+            while not condition():
+                assert time.monotonic() < deadline
+                time.sleep(0.05)
+
+        workers = []
+        try:
+            wait_for(children, 30)
+            workers = children()
+            coordinator.send_signal(signal.SIGTERM)  # the pool is never shut down
+            coordinator.wait(timeout=10)
+            wait_for(lambda: all((stat(w) or ("Z",))[0] == "Z" for w in workers), 10)
+        finally:
+            for pid in [coordinator.pid, *workers]:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            coordinator.wait(timeout=10)
+
+    @pytest.mark.parametrize("cpus, expected", [(4, 4), (None, 1)])
+    def test_pool_capped_at_cpu_count(self, cpus, expected, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        assert cli._pool_workers(10**6) == expected  # no process is started
+        assert cli._pool_workers(2) == 1
 
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "report.txt"
@@ -224,6 +298,17 @@ class TestExitCodes:
         assert entry(["prior-sim", "--n", "5", "--replicates", "10",
                       "--b", "-1", "--out", str(out)]) == 1
         assert not out.exists()
+
+    def test_input_error_leaves_no_out_dir(self, tmp_path, monkeypatch):
+        out = tmp_path / "r"
+        assert entry(cluster_args(tmp_path / "absent.jaspar", out)) == 2
+        assert not out.exists()
+        assert entry(["summarize", "--out", str(out)]) == 3
+        assert not out.exists()
+        # a usage error still wins over an input error
+        monkeypatch.delenv("MOTIFCLUST_OUT", raising=False)
+        args = cluster_args(tmp_path / "absent.jaspar", out)
+        assert entry(args[: args.index("--out")]) == 1
 
     def test_duplicate_ids_rejected(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -335,12 +420,11 @@ class TestSummarize:
 
 
 class TestImports:
-    def test_runtime_imports_no_scipy(self):
-        # the CLI's start-up cost is paid by every run; numpy is its only
-        # third-party import
+    # the CLI's start-up cost is paid by every run
+    def fresh_imports(self, *packages):
         code = (
             "import sys, motifclust, motifclust.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))"
         )
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
@@ -348,7 +432,15 @@ class TestImports:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
+        return done.stdout.strip()
+
+    def test_runtime_imports_no_scipy(self):
+        # numpy is the only third-party import
+        assert self.fresh_imports("scipy") == "[]"
+
+    def test_runtime_imports_no_process_pool(self):
+        # only `cluster --chains N` with N > 1 imports the pool
+        assert self.fresh_imports("multiprocessing", "concurrent") == "[]"
 
 
 class TestPriorSim:
