@@ -23,6 +23,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
 
@@ -48,7 +49,7 @@ from .summaries import (
     width_intervals_from_snapshots,
     width_intervals_tsv,
 )
-from .traceio import atomic_writer, load_trace, save_trace
+from .traceio import atomic_writer, load_trace, save_trace, settings_from
 
 ENV_OUT = "MOTIFCLUST_OUT"
 MANIFEST_NAME = "manifest.json"
@@ -179,7 +180,7 @@ def _read_inputs(args) -> tuple[list[MotifRecord], list[dict], list[str]]:
         path = Path(raw)
         try:
             text = path.read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read input {path}: {exc}")
         fmt = args.format if args.format != "auto" else sniff_format(text)
         try:
@@ -288,9 +289,7 @@ def _write_summaries(
         tree = average_linkage_tree(pooled.distances(), list(pooled.ids))
         digests["tree.nwk"] = _write(out / "tree.nwk", newick(tree) + "\n")
     best_idx = _best_chain(traces)
-    reports = best_partition_report(
-        traces[best_idx], records, hyper, include_singletons=True
-    )
+    reports = best_partition_report(traces[best_idx], records, hyper)
     digests["report.txt"] = _write(
         out / "report.txt", report_text(reports, n_motifs=len(records))
     )
@@ -305,7 +304,7 @@ def _write_summaries(
     digests["ic_table.tsv"] = _write(
         out / "ic_table.tsv", ic_table_tsv(reports, hyper.theta0)
     )
-    diag = diagnostics_report(traces)
+    diag = diagnostics_report(traces, per_chain)
     diag["best_chain"] = best_idx
     diag["width_interval_level"] = level
     diag["single_point_width_fraction"] = intervals.single_point_fraction()
@@ -356,17 +355,14 @@ def cmd_cluster(args) -> int:
         "tool": "motifclust",
         "version": __version__,
         "command": "cluster",
-        "hyper": hyper.to_dict(),
+        "hyper": asdict(hyper),
+        # chain 0's settings, but the seed the chain seeds derive from
         "run": {
-            "iterations": args.iters,
-            "burn_in": configs[0].burn_in,
-            "align_every": args.align_every,
-            "thin": args.thin,
-            "chains": args.chains,
+            **asdict(configs[0]),
             "seed": args.seed,
+            "chains": args.chains,
             "chain_seeds": chain_seeds,
             "trace_compression": bool(args.trace_gz),
-            "init_mode": configs[0].init_mode,
         },
         "inputs": input_entries,
         "records": {
@@ -431,7 +427,7 @@ def cmd_summarize(args) -> int:
     parsed_path = out / manifest["outputs"]["parsed_records"]
     _verify_digest(parsed_path, digests[parsed_path.name], "parsed records")
     records = records_from_json(parsed_path.read_text())
-    hyper = Hyperparameters.from_dict(manifest["hyper"])
+    hyper = settings_from(Hyperparameters, manifest["hyper"])
     traces = []
     for name in manifest["outputs"]["traces"]:
         path = out / name
@@ -446,17 +442,15 @@ def cmd_summarize(args) -> int:
 
 
 def cmd_prior_sim(args) -> int:
-    if args.b <= 0:
-        raise UsageError("--b must be positive")
+    kinds = ["dp", "uniform"] if args.prior == "both" else [args.prior]
+    try:
+        hypers = [Hyperparameters(b=args.b, prior_kind=kind) for kind in kinds]
+    except ValueError as exc:
+        raise UsageError(f"--b: {exc}")
     out = _out_path(args)
     out.mkdir(parents=True, exist_ok=True)
-    kinds = (
-        [PriorKind.DP, PriorKind.UNIFORM]
-        if args.prior == "both"
-        else [PriorKind(args.prior)]
-    )
-    for kind in kinds:
-        hyper = Hyperparameters(b=args.b, prior_kind=kind)
+    for hyper in hypers:
+        kind = hyper.prior_kind
         config = PriorSimConfig(n=args.n, replicates=args.replicates, hyper=hyper)
         # one fixed stream per prior kind so "--prior both" and a later
         # single-prior rerun at the same seed produce identical tables

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -48,17 +48,14 @@ class Hyperparameters:
     prior_kind: PriorKind = PriorKind.DP
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
-        if not self.b > 0:
-            raise ValueError("b must be positive")
-        if not self.lam > 0:
-            raise ValueError("lam must be positive")
+        for name in ("alpha", "b", "lam"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.wmin < 1:
             raise ValueError("wmin must be >= 1")
         t = tuple(float(x) for x in self.theta0)
-        if len(t) != 4 or any(x <= 0 for x in t):
-            raise ValueError("theta0 must hold 4 positive frequencies")
+        if len(t) != 4 or not all(0 < x < math.inf for x in t):
+            raise ValueError("theta0 must hold 4 positive finite frequencies")
         if abs(sum(t) - 1.0) > 1e-9:
             raise ValueError(f"theta0 must sum to 1, got {sum(t)}")
         object.__setattr__(self, "alpha", float(self.alpha))
@@ -68,16 +65,6 @@ class Hyperparameters:
     @property
     def log_theta0(self) -> np.ndarray:
         return np.log(np.asarray(self.theta0))
-
-    def to_dict(self) -> dict:
-        """JSON-ready fields in declaration order."""
-        return {**asdict(self), "theta0": list(self.theta0), "prior_kind": self.prior_kind.value}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> Hyperparameters:
-        """Inverse of to_dict; every field must be present, other keys are
-        ignored."""
-        return cls(**{f.name: data[f.name] for f in fields(cls)})
 
 
 @dataclass
@@ -325,21 +312,6 @@ def cluster_strength(
     return lp + math.lgamma(m) - (m - 1) * math.log(hyper.b)
 
 
-def log_joint(state, data, hyper: Hyperparameters) -> float:
-    """Joint log density of a sampler state, recomputed from raw matrices.
-
-    Sum of per-cluster core marginals, the background term over all non-core
-    columns, the partition prior, and per-cluster width priors renormalized
-    over the currently feasible width support.  This is the from-scratch
-    reference the sampler's incremental bookkeeping is audited against.
-    """
-    z = np.asarray(state.z)
-    offsets = np.asarray(state.offsets)
-    widths = {cid: cl.stats.width for cid, cl in state.clusters.items()}
-    raw = [rec.matrix.counts for rec in data]
-    return log_joint_from_arrays(z, offsets, widths, raw, hyper)
-
-
 def log_joint_from_arrays(
     z: np.ndarray,
     offsets: np.ndarray,
@@ -347,6 +319,14 @@ def log_joint_from_arrays(
     raw_counts: Sequence[np.ndarray],
     hyper: Hyperparameters,
 ) -> float:
+    """Joint log density of labels z, 0-based offsets and per-label widths
+    over the raw count matrices, recomputed from scratch.
+
+    Sum of per-cluster core marginals, the background term over all non-core
+    columns, the partition prior, and per-cluster width priors renormalized
+    over the currently feasible width support.  This is the reference the
+    sampler's incremental bookkeeping is checked against.
+    """
     t = tables_for(hyper.alpha)
     lp = log_partition_prior(z, hyper)
     bg = np.zeros(4, dtype=np.int64)

@@ -13,7 +13,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 BASES = "ACGT"
-BASE_INDEX = {b: i for i, b in enumerate(BASES)}
 
 UNIFORM_BACKGROUND = (0.25, 0.25, 0.25, 0.25)
 

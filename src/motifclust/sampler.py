@@ -15,7 +15,7 @@ at offset a covers columns [a, a + w).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
@@ -32,8 +32,6 @@ from .kernels import (
 )
 from .matrices import MotifRecord
 
-INIT_MODES = ("singletons", "single", "random")
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -49,9 +47,7 @@ class RunConfig:
     align_every: int | None = 10
     thin: int = 1
     seed: int = 0
-    record_trace: bool = True
     audit_every: int | None = None
-    init_mode: str = "singletons"
 
     def __post_init__(self):
         if self.iterations < 0:
@@ -68,18 +64,6 @@ class RunConfig:
             raise ValueError("thin must be >= 1")
         if self.audit_every is not None and self.audit_every < 1:
             raise ValueError("audit_every must be >= 1")
-        if self.init_mode not in INIT_MODES:
-            raise ValueError(f"init_mode must be one of {INIT_MODES}")
-
-    def to_dict(self) -> dict:
-        """JSON-ready fields in declaration order."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> RunConfig:
-        """Inverse of to_dict; every field must be present, other keys are
-        ignored."""
-        return cls(**{f.name: data[f.name] for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -92,9 +76,6 @@ class Snapshot:
     z: np.ndarray
     offsets: np.ndarray
     widths: np.ndarray
-
-    def n_clusters(self) -> int:
-        return int(self.widths.shape[0])
 
 
 @dataclass
@@ -508,40 +489,19 @@ class SamplerState:
 
 
 def init_state(
-    data: Sequence[MotifRecord],
-    hyper: Hyperparameters,
-    rng: np.random.Generator,
-    init_mode: str = "singletons",
+    data: Sequence[MotifRecord], hyper: Hyperparameters, rng: np.random.Generator
 ) -> SamplerState:
-    """Build a feasible starting state.
+    """Build the starting state: every motif a singleton.
 
-    Initial widths are lam rounded, clamped into [wmin, narrowest feasible];
-    offsets are uniform over the feasible range for the chosen width.
+    Each width is lam rounded, clamped into [wmin, motif length]; each
+    offset is uniform over the feasible range for that width.
     """
-    if init_mode not in INIT_MODES:
-        raise ValueError(f"init_mode must be one of {INIT_MODES}")
     state = SamplerState(data, hyper)
-    n = state.n_motifs()
     target_w = max(hyper.wmin, int(round(hyper.lam)))
-
-    if init_mode == "singletons":
-        groups = [[i] for i in range(n)]
-    elif init_mode == "single":
-        groups = [list(range(n))]
-    else:
-        from .priorsim import simulate_partition
-
-        labels = simulate_partition(n, hyper, rng)
-        groups = [
-            [i for i in range(n) if labels[i] == lab]
-            for lab in range(int(labels.max()) + 1)
-        ]
-
-    for group in groups:
-        w = min(target_w, min(int(state.lengths[i]) for i in group))
-        for i in group:
-            state.offsets[i] = rng.integers(0, int(state.lengths[i]) - w + 1)
-        state._new_cluster(set(group), w)
+    for i in range(state.n_motifs()):
+        w = min(target_w, int(state.lengths[i]))
+        state.offsets[i] = rng.integers(0, int(state.lengths[i]) - w + 1)
+        state._new_cluster({i}, w)
     return state
 
 
@@ -725,16 +685,11 @@ def resample_width(state: SamplerState, cids: Sequence[int], rng: np.random.Gene
 # ------------------------------------------------------------------ run loop
 
 
-def run(
-    data: Sequence[MotifRecord],
-    hyper: Hyperparameters,
-    config: RunConfig,
-    rng: np.random.Generator | None = None,
-) -> RunTrace:
-    """Run the sampler; returns the trace with series, snapshots and best state."""
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    state = init_state(data, hyper, rng, init_mode=config.init_mode)
+def run(data: Sequence[MotifRecord], hyper: Hyperparameters, config: RunConfig) -> RunTrace:
+    """Run the sampler from config.seed; returns the trace with series,
+    snapshots and best state."""
+    rng = np.random.default_rng(config.seed)
+    state = init_state(data, hyper, rng)
     n = state.n_motifs()
     logp0 = state.log_joint_fast()
     initial = state.snapshot(0, logp0)
@@ -756,11 +711,7 @@ def run(
         log_joint_series[t - 1] = logp
         n_clusters_series[t - 1] = len(state.clusters)
         post_burn = t > config.burn_in
-        record = (
-            config.record_trace
-            and post_burn
-            and (t - config.burn_in - 1) % config.thin == 0
-        )
+        record = post_burn and (t - config.burn_in - 1) % config.thin == 0
         if record or (post_burn and logp > best.log_joint):
             snap = state.snapshot(t, logp)
             if record:

@@ -249,16 +249,13 @@ class ClusterReport:
 
 
 def best_partition_report(
-    trace: RunTrace,
-    data: Sequence[MotifRecord],
-    hyper: Hyperparameters,
-    include_singletons: bool = False,
+    trace: RunTrace, data: Sequence[MotifRecord], hyper: Hyperparameters
 ) -> list[ClusterReport]:
-    """Ranked clusters of the highest-density snapshot.
+    """Every cluster of the highest-density snapshot.
 
     Multi-member clusters come first, sorted by descending strength (ties:
-    larger size, then smallest member id).  Singletons are appended in id
-    order when requested; their strength is exactly 0.
+    larger size, then smallest member id), then the singletons in id order;
+    a singleton's strength is exactly 0.
     """
     if [r.id for r in data] != list(trace.ids):
         raise ValueError("data does not match the trace's motif ids")
@@ -285,8 +282,6 @@ def best_partition_report(
         )
     multi = [r for r in reports if r.size > 1]
     multi.sort(key=lambda r: (-r.strength, -r.size, r.members[0]))
-    if not include_singletons:
-        return multi
     singles = sorted((r for r in reports if r.size == 1), key=lambda r: r.members[0])
     return multi + singles
 
@@ -415,12 +410,15 @@ def autocorrelation(series: np.ndarray, lags: Sequence[int]) -> list[float]:
     return out
 
 
+LAGS = (1, 5, 10, 50)
+
+
 def diagnostics_report(
-    traces: Sequence[RunTrace], lags: Sequence[int] = (1, 5, 10, 50)
+    traces: Sequence[RunTrace], pairwise: Sequence[PairwiseMatrix]
 ) -> dict:
-    """Chain diagnostics: per-chain lag autocorrelations of the log joint
-    density and cluster-count series, plus the largest cross-chain
-    difference in pairwise probabilities."""
+    """Chain diagnostics: per-chain autocorrelations at LAGS of the log
+    joint density and cluster-count series, plus the largest cross-chain
+    difference between `pairwise`, the chains' pairwise matrices in order."""
     if not traces:
         raise ValueError("no traces given")
     chains = []
@@ -429,16 +427,13 @@ def diagnostics_report(
             {
                 "seed": t.config.seed,
                 "best_log_joint": float(t.best.log_joint),
-                "log_joint_autocorrelation": autocorrelation(t.log_joint_series, lags),
-                "n_clusters_autocorrelation": autocorrelation(
-                    t.n_clusters_series, lags
-                ),
+                "log_joint_autocorrelation": autocorrelation(t.log_joint_series, LAGS),
+                "n_clusters_autocorrelation": autocorrelation(t.n_clusters_series, LAGS),
             }
         )
-    matrices = [pairwise_probabilities(t) for t in traces]
     return {
-        "lags": list(lags),
+        "lags": list(LAGS),
         "chains": chains,
-        "max_cross_chain_pairwise_difference": max_pairwise_discrepancy(matrices),
+        "max_cross_chain_pairwise_difference": max_pairwise_discrepancy(pairwise),
     }
 

@@ -23,6 +23,7 @@ import gzip
 import json
 import os
 from contextlib import contextmanager
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,13 @@ TRACE_VERSION = 1
 
 class TraceFormatError(ValueError):
     """Raised when a trace file is not something this version can read."""
+
+
+def settings_from(cls, data: dict):
+    """A settings dataclass (Hyperparameters, RunConfig) from its
+    `dataclasses.asdict` form as JSON gives it back; every field must be
+    present, other keys are ignored."""
+    return cls(**{f.name: data[f.name] for f in fields(cls)})
 
 
 def _snapshot_dict(snap: Snapshot) -> dict:
@@ -65,8 +73,8 @@ def trace_lines(trace: RunTrace):
         "format": TRACE_FORMAT,
         "version": TRACE_VERSION,
         "ids": list(trace.ids),
-        "config": trace.config.to_dict(),
-        "hyper": trace.hyper.to_dict(),
+        "config": asdict(trace.config),
+        "hyper": asdict(trace.hyper),
         "initial": _snapshot_dict(trace.initial),
     }
     yield json.dumps(header, separators=(",", ":"))
@@ -145,8 +153,8 @@ def load_trace(path: str | Path) -> RunTrace:
             f"{path}: version {header.get('version')!r} not supported "
             f"(this reader handles version {TRACE_VERSION})"
         )
-    config = RunConfig.from_dict(header["config"])
-    hyper = Hyperparameters.from_dict(header["hyper"])
+    config = settings_from(RunConfig, header["config"])
+    hyper = settings_from(Hyperparameters, header["hyper"])
     log_joint = np.empty(config.iterations)
     n_clusters = np.empty(config.iterations, dtype=np.int64)
     seen = np.zeros(config.iterations, dtype=bool)

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +113,21 @@ class TestCluster:
         assert len(diag["chains"]) == 2
         assert diag["chains"][0]["seed"] != diag["chains"][1]["seed"]
         assert 0 <= diag["max_cross_chain_pairwise_difference"] <= 1
+
+    def test_manifest_run_is_chain0_settings(self, motif_file, tmp_path):
+        out = tmp_path / "run"
+        assert entry(cluster_args(motif_file, out, chains=2, thin=2)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        seeds = cli._chain_seeds(5, 2)
+        chain0 = RunConfig(iterations=60, align_every=1, thin=2, seed=seeds[0])
+        assert load_trace(out / "trace_chain00.jsonl").config == chain0
+        assert manifest["run"] == {
+            **asdict(chain0),
+            "seed": 5,
+            "chains": 2,
+            "chain_seeds": seeds,
+            "trace_compression": False,
+        }
 
     def test_compressed_traces(self, motif_file, tmp_path):
         out = tmp_path / "run"
@@ -263,10 +279,30 @@ class TestExitCodes:
         assert rc == 1
         assert "theta0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("alpha", "inf"), ("alpha", "nan"), ("b", "inf"), ("lambda", "inf"),
+         ("lambda", "nan"), ("theta0", "nan,0.25,0.25,0.25")],
+    )
+    def test_non_finite_setting_is_usage_error(self, motif_file, tmp_path, capsys, flag, value):
+        out = tmp_path / "r"
+        assert entry(cluster_args(motif_file, out, **{flag: value})) == 1
+        assert not out.exists()
+        field = "lam" if flag == "lambda" else flag
+        assert f"{field} must" in capsys.readouterr().err
+
     def test_unreadable_input(self, tmp_path, capsys):
         rc = entry(cluster_args(tmp_path / "absent.jaspar", tmp_path / "r"))
         assert rc == 2
         assert "absent.jaspar" in capsys.readouterr().err
+
+    def test_non_utf8_input_named(self, motif_file, tmp_path, capsys):
+        packed = tmp_path / "motifs.jaspar.gz"
+        packed.write_bytes(gzip.compress(motif_file.read_bytes()))
+        out = tmp_path / "r"
+        assert entry(cluster_args(packed, out)) == 2
+        assert "motifs.jaspar.gz" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_input(self, tmp_path, capsys):
         bad = tmp_path / "bad.jaspar"
@@ -295,9 +331,10 @@ class TestExitCodes:
         out = tmp_path / "r"
         assert entry(cluster_args(motif_file, out, alpha=-1)) == 1
         assert not out.exists()
-        assert entry(["prior-sim", "--n", "5", "--replicates", "10",
-                      "--b", "-1", "--out", str(out)]) == 1
-        assert not out.exists()
+        for b in ("-1", "nan", "inf"):
+            assert entry(["prior-sim", "--n", "5", "--replicates", "10",
+                          "--b", b, "--out", str(out)]) == 1
+            assert not out.exists()
 
     def test_input_error_leaves_no_out_dir(self, tmp_path, monkeypatch):
         out = tmp_path / "r"

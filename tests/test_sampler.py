@@ -18,6 +18,7 @@ from motifclust.kernels import (
     log_width_prior,
     seq_prior_weights,
 )
+from motifclust.priorsim import simulate_partition
 from motifclust.sampler import (
     RunConfig,
     _alignment_weights,
@@ -53,7 +54,19 @@ A2 = (2, 0, 0, 0)
 def two_identical_state(hyper=HYPER_W1):
     data = [col_motif("m0", A2), col_motif("m1", A2)]
     rng = np.random.default_rng(0)
-    return init_state(data, hyper, rng, init_mode="singletons"), data
+    return init_state(data, hyper, rng), data
+
+
+def state_with_partition(data, hyper, labels, rng):
+    """A state holding the partition `labels` (one cluster per distinct
+    label), with init_state's widths and offsets: lam rounded, clamped into
+    [wmin, shortest member], and offsets uniform over the feasible range."""
+    _, z = np.unique(labels, return_inverse=True)
+    lengths = np.array([r.width for r in data])
+    target = max(hyper.wmin, round(hyper.lam))
+    widths = np.array([min(target, lengths[z == k].min()) for k in range(z.max() + 1)])
+    offsets = rng.integers(0, lengths - widths[z] + 1)
+    return state_from_snapshot(data, hyper, Snapshot(0, 0.0, z, offsets, widths))
 
 
 def planted_records(n_members, length, core, offsets, flank_depth=5, prefix="p"):
@@ -511,21 +524,6 @@ class TestInitModes:
         assert len(state.clusters) == 6
         state.audit()
 
-    def test_single(self):
-        state = init_state(
-            self.data(), Hyperparameters(wmin=4, lam=5.0), np.random.default_rng(0), "single"
-        )
-        assert len(state.clusters) == 1
-        assert state.clusters[int(state.z[0])].stats.width == 5
-        state.audit()
-
-    def test_random_mode_valid(self):
-        state = init_state(
-            self.data(), Hyperparameters(wmin=4, lam=5.0), np.random.default_rng(1), "random"
-        )
-        assert 1 <= len(state.clusters) <= 6
-        state.audit()
-
     def test_width_clamped_to_shortest_member(self):
         data = [rec("s", np.ones((4, 4), dtype=np.int64))]
         state = init_state(data, Hyperparameters(wmin=4, lam=8.0), np.random.default_rng(0))
@@ -535,10 +533,6 @@ class TestInitModes:
         data = [rec("tiny", np.ones((3, 4), dtype=np.int64))]
         with pytest.raises(ValueError, match="tiny"):
             init_state(data, Hyperparameters(wmin=6), np.random.default_rng(0))
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            init_state(self.data(), Hyperparameters(wmin=4), np.random.default_rng(0), "bogus")
 
 
 class TestRunConfigValidation:
@@ -561,8 +555,6 @@ class TestRunConfigValidation:
             RunConfig(iterations=10, align_every=0)
         with pytest.raises(ValueError):
             RunConfig(iterations=10, audit_every=0)
-        with pytest.raises(ValueError):
-            RunConfig(iterations=10, init_mode="nope")
 
 
 class TestStateFromSnapshot:
@@ -599,26 +591,11 @@ class TestStressInvariants:
     @settings(max_examples=40, deadline=None)
     @given(random_state_and_ops())
     def test_incremental_state_stays_consistent(self, case):
-        n, hyper, lengths, seed, ops = case
-        rng = np.random.default_rng(seed)
-        data = [
-            rec(f"s{k}", rng.integers(0, 9, size=(lengths[k], 4))) for k in range(n)
-        ]
-        state = init_state(data, hyper, rng, init_mode="random")
-        for op in ops:
-            if op == 0:
-                resample_assignment(state, int(rng.integers(0, n)), rng)
-            elif op == 1:
-                resample_alignment(state, int(rng.integers(0, n)), rng)
-            else:
-                cids = sorted(state.clusters)
-                resample_width(state, [cids[int(rng.integers(0, len(cids)))]], rng)
+        state, _ = _swept_state(case)
         state.audit()
-        z = state.z.copy()
-        offsets = state.offsets.copy()
         widths = {cid: cl.stats.width for cid, cl in state.clusters.items()}
-        raw = [r.matrix.counts for r in data]
-        ref = log_joint_from_arrays(z, offsets, widths, raw, hyper)
+        raw = [r.matrix.counts for r in state.data]
+        ref = log_joint_from_arrays(state.z, state.offsets, widths, raw, state.hyper)
         assert state.log_joint_fast() == pytest.approx(ref, abs=1e-9)
 
 
@@ -628,7 +605,7 @@ def _swept_state(case):
     n, hyper, lengths, seed, ops = case
     rng = np.random.default_rng(seed)
     data = [rec(f"s{k}", rng.integers(0, 9, size=(lengths[k], 4))) for k in range(n)]
-    state = init_state(data, hyper, rng, init_mode="random")
+    state = state_with_partition(data, hyper, simulate_partition(n, hyper, rng), rng)
     for op in ops:
         if op == 0:
             resample_assignment(state, int(rng.integers(0, n)), rng)
@@ -829,7 +806,9 @@ class TestBatchedWidthSweep:
         # every core spans its whole matrix: top == wmin for every cluster
         hyper = Hyperparameters(alpha=1.0, b=1.0, lam=3.0, wmin=3)
         data = [rec(f"m{k}", np.full((3, 4), k + 1)) for k in range(4)]
-        state = init_state(data, hyper, np.random.default_rng(0), init_mode="random")
+        init_rng = np.random.default_rng(0)
+        labels = simulate_partition(4, hyper, init_rng)
+        state = state_with_partition(data, hyper, labels, init_rng)
         rng = np.random.default_rng(5)
         before = rng.bit_generator.state
         updates = state.updates
@@ -869,7 +848,7 @@ class TestTableBound:
         bound = sum(int(r.matrix.counts.sum(axis=1).max()) for r in data)
         assert bound > 4096
         rng = np.random.default_rng(4)
-        state = init_state(data, hyper, rng, init_mode="single")
+        state = state_with_partition(data, hyper, np.zeros(len(data)), rng)
         assert bound < state.tables.split <= 2 * bound
         raw = [r.matrix.counts for r in data]
 

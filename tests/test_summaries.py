@@ -261,13 +261,15 @@ class TestBestPartitionReport:
         ]
         best = snap([0, 0, 1], [0, 0, 0], [6, 6])
         trace = fake_trace(["m0", "m1", "odd"], [best], hyper=self.hyper())
-        multi = best_partition_report(trace, data, self.hyper())
-        assert len(multi) == 1 and multi[0].members == ("m0", "m1")
-        full = best_partition_report(trace, data, self.hyper(), include_singletons=True)
-        assert len(full) == 2
-        assert full[1].members == ("odd",)
-        assert full[1].strength == 0.0
-        assert 0 < full[1].membership[0] <= 1
+        reports = best_partition_report(trace, data, self.hyper())
+        # singletons come after the ranked clusters, out of every ranking
+        assert [r.members for r in reports] == [("m0", "m1"), ("odd",)]
+        assert reports[1].strength == 0.0
+        assert 0 < reports[1].membership[0] <= 1
+        assert [r.id for r in parse_jaspar(export_super_matrices(reports))] == ["cluster1"]
+        text = report_text(reports, n_motifs=3)
+        assert "singletons (1):\n\todd\t" in text
+        assert "motifs in multi-member clusters: 2/3" in text
 
     def test_super_matrix_totals_and_width(self):
         trace, data = self.one_cluster_trace(3)
@@ -323,7 +325,7 @@ class TestExports:
         best = snap([0, 0], [0, 0], [6])
         hyper = Hyperparameters(alpha=1.0, b=1.0, lam=6.0, wmin=4)
         trace = fake_trace(["m0", "m1"], [best], hyper=hyper)
-        return best_partition_report(trace, data, hyper, include_singletons=True)
+        return best_partition_report(trace, data, hyper)
 
     def test_super_matrix_doubled_counts_roundtrip(self):
         text = export_super_matrices(self.make_reports())
@@ -415,7 +417,7 @@ class TestDiagnostics:
         traces = [
             run(data, hyper, RunConfig(iterations=20, burn_in=4, seed=s)) for s in (0, 1)
         ]
-        rep = diagnostics_report(traces)
+        rep = diagnostics_report(traces, [pairwise_probabilities(t) for t in traces])
         assert len(rep["chains"]) == 2
         assert rep["chains"][0]["seed"] == 0
         assert 0 <= rep["max_cross_chain_pairwise_difference"] <= 1

@@ -1,6 +1,7 @@
 import gzip
 import io
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from motifclust.traceio import (
     atomic_writer,
     load_trace,
     save_trace,
+    settings_from,
     trace_bytes,
     trace_lines,
 )
@@ -127,8 +129,8 @@ class TestHeader:
         assert next(trace_lines(trace)) == (
             '{"kind":"header","format":"motif-cluster-trace","version":1,'
             '"ids":["a","b","c"],"config":{"iterations":0,"burn_in":0,'
-            '"align_every":null,"thin":1,"seed":7,"record_trace":true,'
-            '"audit_every":50,"init_mode":"singletons"},"hyper":{"alpha":0.5,'
+            '"align_every":null,"thin":1,"seed":7,"audit_every":50},'
+            '"hyper":{"alpha":0.5,'
             '"b":2,"lam":6.0,"wmin":4,"theta0":[0.3,0.2,0.2,0.3],'
             '"prior_kind":"uniform"},"initial":{"iteration":0,"log_joint":-12.5,'
             '"z":[0,0,1],"offsets":[0,2,1],"widths":[6,7]}}'
@@ -137,8 +139,18 @@ class TestHeader:
     def test_dict_round_trips(self):
         hyper = Hyperparameters(alpha=2, b=0.5, lam=7.0, wmin=5, prior_kind="uniform")
         config = RunConfig(iterations=30, burn_in=3, align_every=None, thin=2, seed=9)
-        assert Hyperparameters.from_dict(json.loads(json.dumps(hyper.to_dict()))) == hyper
-        assert RunConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
+        for settings in (hyper, config):
+            data = json.loads(json.dumps(asdict(settings)))
+            assert settings_from(type(settings), data) == settings
+
+    def test_older_header_keys_ignored(self, tmp_path):
+        # earlier versions also wrote record_trace and init_mode
+        path = save_trace(small_trace(), tmp_path / "t.jsonl")
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["config"].update(record_trace=True, init_mode="singletons")
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        assert load_trace(path).config == small_trace().config
 
 
 class _FailingFile(io.FileIO):
