@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--align-every", type=_positive_int, default=10)
     cluster.add_argument("--thin", type=_positive_int, default=1)
     cluster.add_argument("--chains", type=_positive_int, default=1)
-    cluster.add_argument("--seed", type=int, default=0)
+    cluster.add_argument("--seed", type=_nonnegative_int, default=0)
     cluster.add_argument("--out", default=None,
                          help=f"output directory (or ${ENV_OUT})")
     cluster.add_argument("--strict-columns", action="store_true",
@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     prior_sim.add_argument("--replicates", type=_positive_int, required=True)
     prior_sim.add_argument("--prior", choices=["dp", "uniform", "both"],
                            default="both")
-    prior_sim.add_argument("--seed", type=int, default=0)
+    prior_sim.add_argument("--seed", type=_nonnegative_int, default=0)
     prior_sim.add_argument("--out", default=None,
                            help=f"output directory (or ${ENV_OUT})")
     prior_sim.set_defaults(func=cmd_prior_sim)

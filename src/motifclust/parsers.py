@@ -53,7 +53,6 @@ def parse_jaspar(text: str, warnings: list[str] | None = None) -> list[MotifReco
 
     header: tuple[str, str | None, int] | None = None
     rows: dict[str, np.ndarray] = {}
-    saw_header = False
 
     def flush(end_line: int) -> None:
         nonlocal header, rows
@@ -90,8 +89,11 @@ def parse_jaspar(text: str, warnings: list[str] | None = None) -> list[MotifReco
         if not line or line.startswith("#"):
             continue
         if line.startswith(">"):
+            if header is None and rows:
+                raise MotifParseError(
+                    "bare four-row layout may only hold a single matrix", line_no
+                )
             flush(line_no)
-            saw_header = True
             body = line[1:].strip()
             if not body:
                 raise MotifParseError("empty header: no motif id after '>'", line_no)
@@ -110,8 +112,6 @@ def parse_jaspar(text: str, warnings: list[str] | None = None) -> list[MotifReco
         )
 
     flush(len(lines) + 1)
-    if not saw_header and len(records) > 1:
-        raise MotifParseError("bare four-row layout may only hold a single matrix")
     return records
 
 

@@ -2,7 +2,9 @@
 
 State holds, per cluster, the summed core counts of its aligned members;
 cluster parameters are integrated out, so moves only ever touch these
-sufficient statistics plus the pooled background counts.  Each iteration
+sufficient statistics.  They live in one column table, the only copy of
+the counts; the pooled background counts are derived from it as the grand
+total less every cluster's cores.  Each iteration
 sweeps assignments in motif-index order, then (on the align_every schedule)
 core offsets, then the widths of all clusters in one batched update.  All
 randomness flows through one numpy Generator, making runs bit-reproducible
@@ -98,13 +100,13 @@ class _Cluster:
     segment in the state's column table.  stats.core_counts is a (width, 4)
     view of that segment."""
 
-    __slots__ = ("cid", "stats", "members", "seg", "start")
+    __slots__ = ("cid", "stats", "members", "seg")
 
     def __init__(self, cid: int, stats: ClusterStats, members: set[int]):
         self.cid = cid
         self.stats = stats
         self.members = members
-        self.seg = self.start = -1
+        self.seg = -1
 
 
 class SamplerState:
@@ -120,6 +122,10 @@ class SamplerState:
     summed motif lengths, so the table has a fixed capacity.  The segment
     map holds start, width and log prior mass (log m under the DP, 0 under
     the uniform prior, -inf once retired) of each segment, in table order.
+
+    The table is the only copy of the cluster counts: moves update it and
+    nothing else, and the background (per-base counts outside the cores of
+    attached motifs) is derived from it on demand.
     """
 
     __slots__ = (
@@ -131,8 +137,6 @@ class SamplerState:
         "z",
         "offsets",
         "clusters",
-        "background",
-        "iteration",
         "updates",
         "_next_id",
         "_grand_total",
@@ -212,9 +216,6 @@ class SamplerState:
         self.z = np.zeros(n, dtype=np.int64)
         self.offsets = np.zeros(n, dtype=np.int64)
         self.clusters: dict[int, _Cluster] = {}
-        # per-base counts outside the cores of attached motifs
-        self.background = self._grand_total.copy()
-        self.iteration = 0
         self.updates = 0
         self._next_id = 0
         # live columns never exceed the summed lengths, retired ones never
@@ -246,9 +247,12 @@ class SamplerState:
         start = self._base[i] + offset
         return self._flat[:4, start : start + width].T
 
-    def core_base_sums(self, i: int, offset: int, width: int) -> np.ndarray:
-        start = self._base[i] + offset
-        return np.add.reduce(self._flat[:4, start : start + width], axis=1)
+    @property
+    def background(self) -> np.ndarray:
+        """Per-base counts outside the cores of attached motifs: the grand
+        total less every table column up to _ncols (retired columns hold
+        zeros; those past _ncols may hold stale data after a compaction)."""
+        return self._grand_total - np.add.reduce(self._cols[:4, : self._ncols], axis=1)
 
     def core_room(self, cls: Sequence[_Cluster]) -> tuple[np.ndarray, list[int], list[int]]:
         """Widest core every member of each cluster in cls can hold at its
@@ -282,7 +286,7 @@ class SamplerState:
             self._seg_start[seg] = start
             self._seg_width[seg] = width
             self._seg_prior[seg] = self._log_mass(cl.stats.member_count)
-            cl.seg, cl.start = seg, start
+            cl.seg = seg
             cl.stats.core_counts = self._cols[:4, start : start + width].T
             start += width
         self._seg_owner.extend(cls)
@@ -291,7 +295,7 @@ class SamplerState:
     def _retire(self, cl: _Cluster) -> None:
         """Empty cluster cl's segment (zero counts and marginals) and mark
         it retired."""
-        start, width = cl.start, cl.stats.width
+        start, width = int(self._seg_start[cl.seg]), cl.stats.width
         self._cols[:, start : start + width] = self._empty
         self._fcol[start : start + width] = 0.0
         self._seg_prior[cl.seg] = -np.inf
@@ -324,31 +328,29 @@ class SamplerState:
         self._ncols, self._dead = m, 0
         for seg, cl in enumerate(self._seg_owner):
             start = int(self._seg_start[seg])
-            cl.seg, cl.start = seg, start
+            cl.seg = seg
             cl.stats.core_counts = self._cols[:4, start : start + cl.stats.width].T
 
-    def _core_cols(self, i: int, offset: int, width: int) -> np.ndarray:
-        """Column stack of motif i's core, as the table holds it."""
-        start = self._base[i] + offset
-        cols = np.array(self._flat[:, start : start + width], order="F")
+    def _core_stack(self, members: set[int], width: int) -> np.ndarray:
+        """Column stack, as the table holds it, of these motifs' cores
+        summed, each `width` columns wide at its current offset."""
+        cols = np.zeros((5, width), dtype=np.int64, order="F")
+        for i in members:
+            at = self._base[i] + int(self.offsets[i])
+            cols += self._flat[:, at : at + width]
         cols[4] += self.tables.split
         return cols
 
     def _new_cluster(self, members: set[int], width: int) -> int:
         """Open a cluster of these members, each one's core `width` columns
         wide at its current offset."""
-        cols = np.zeros((5, width), dtype=np.int64, order="F")
-        for i in members:
-            at = self._base[i] + int(self.offsets[i])
-            cols += self._flat[:, at : at + width]
-        cols[4] += self.tables.split
+        cols = self._core_stack(members, width)
         cid = self._next_id
         self._next_id += 1
         stats = ClusterStats(width=width, core_counts=cols[:4].T, member_count=len(members))
         cl = _Cluster(cid, stats, members)
         self._place([cl], cols)
         self.clusters[cid] = cl
-        self.background -= np.add.reduce(cols[:4], axis=1)
         for i in members:
             self.z[i] = cid
         return cid
@@ -356,40 +358,36 @@ class SamplerState:
     def attach(self, i: int, cid: int) -> None:
         """Add motif i's core (at its current offset) to cluster cid."""
         cl = self.clusters[cid]
-        start, w = cl.start, cl.stats.width
-        o = int(self.offsets[i])
-        at = self._base[i] + o
+        start, w = int(self._seg_start[cl.seg]), cl.stats.width
+        at = self._base[i] + int(self.offsets[i])
         self._cols[:, start : start + w] += self._flat[:, at : at + w]
         self._refresh(start, w)
         cl.stats.member_count += 1
         cl.members.add(i)
         self._seg_prior[cl.seg] = self._log_mass(cl.stats.member_count)
         self.z[i] = cid
-        self.background -= self.core_base_sums(i, o, w)
 
-    def detach(self, i: int) -> tuple[int, int]:
-        """Remove motif i from its cluster; returns (old cluster id, old width).
-        Emptied clusters are retired, their ids never reused."""
+    def detach(self, i: int) -> None:
+        """Remove motif i from its cluster.  Emptied clusters are retired,
+        their ids never reused."""
         cid = int(self.z[i])
         cl = self.clusters[cid]
-        start, w = cl.start, cl.stats.width
-        o = int(self.offsets[i])
         cl.stats.member_count -= 1
         cl.members.discard(i)
         if cl.stats.member_count == 0:
             self._retire(cl)
             del self.clusters[cid]
         else:
-            at = self._base[i] + o
+            start, w = int(self._seg_start[cl.seg]), cl.stats.width
+            at = self._base[i] + int(self.offsets[i])
             self._cols[:, start : start + w] -= self._flat[:, at : at + w]
             self._refresh(start, w)
             self._seg_prior[cl.seg] = self._log_mass(cl.stats.member_count)
-        self.background += self.core_base_sums(i, o, w)
-        return cid, w
 
     def audit(self) -> None:
         """Rebuild all sufficient statistics and the column table from
-        scratch; exact match required."""
+        scratch; exact match required.  Live segments are rebuilt and
+        retired ones must be empty, which also checks the background."""
         seen: set[int] = set()
         for i in range(self.n_motifs()):
             cid = int(self.z[i])
@@ -399,7 +397,6 @@ class SamplerState:
         if seen != set(self.clusters):
             raise AssertionError("clusters without members present")
         tables = self.tables
-        bg = self._grand_total.copy()
         for cid, cl in self.clusters.items():
             members = {i for i in range(self.n_motifs()) if int(self.z[i]) == cid}
             if members != cl.members:
@@ -415,9 +412,7 @@ class SamplerState:
                 rebuilt += self.core(i, o, w)
             if not (0 <= cl.seg < len(self._seg_owner)) or self._seg_owner[cl.seg] is not cl:
                 raise AssertionError(f"cluster {cid} segment map out of sync")
-            start = cl.start
-            if int(self._seg_start[cl.seg]) != start:
-                raise AssertionError(f"cluster {cid} segment start out of sync")
+            start = int(self._seg_start[cl.seg])
             segment = self._cols[:, start : start + w]
             expected = tables.stack(rebuilt)
             if int(self._seg_width[cl.seg]) != w or not np.array_equal(segment, expected):
@@ -431,7 +426,6 @@ class SamplerState:
             view = cl.stats.core_counts
             if not (np.shares_memory(view, self._cols) and np.array_equal(view, rebuilt)):
                 raise AssertionError(f"cluster {cid} core counts out of sync")
-            bg -= rebuilt.sum(axis=0)
         start = dead = 0
         for seg, owner in enumerate(self._seg_owner):
             w = int(self._seg_width[seg])
@@ -448,8 +442,6 @@ class SamplerState:
             start += w
         if start != self._ncols or dead != self._dead:
             raise AssertionError("column table extent out of sync")
-        if not np.array_equal(bg, self.background):
-            raise AssertionError("background counts out of sync")
 
     # ------------------------------------------------------------- densities
 
@@ -523,7 +515,7 @@ def _assignment_weights(state: SamplerState, i: int) -> np.ndarray:
     segments, clusters too wide for the motif's offset, and the motif's own
     cluster when it is the only member get weight -inf."""
     cl = state.clusters[int(state.z[i])]
-    start, w = cl.start, cl.stats.width
+    start, w = int(state._seg_start[cl.seg]), cl.stats.width
     o = int(state.offsets[i])
     n, k = state._ncols, len(state._seg_owner)
     bg = state._bg[i][o]
@@ -564,18 +556,16 @@ def resample_assignment(state: SamplerState, i: int, rng: np.random.Generator) -
         hyper = state.hyper
         length = int(state.lengths[i])
         w_new = hyper.wmin + _categorical(log_width_probs(hyper, length), rng)
-        o_old, w_old = int(state.offsets[i]), cl.stats.width
-        o = min(o_old, length - w_new)
+        o = min(int(state.offsets[i]), length - w_new)
         if cl.stats.member_count > 1:
             state.detach(i)
             state.offsets[i] = o
             state._new_cluster({i}, w_new)
-        elif w_new != w_old:
+        elif w_new != cl.stats.width:
             # a singleton stays alone only through this option, so it keeps
             # its id and segment, moved only when its width is redrawn
-            state._relocate([cl], [w_new], state._core_cols(i, o, w_new))
             state.offsets[i] = o
-            state.background += state.core_base_sums(i, o_old, w_old) - state.core_base_sums(i, o, w_new)
+            state._relocate([cl], [w_new], state._core_stack({i}, w_new))
     state.updates += 1
 
 
@@ -586,7 +576,7 @@ def _alignment_weights(state: SamplerState, i: int) -> np.ndarray:
     the columns it displaces.  Scores all L - w + 1 offsets at once."""
     tables = state.tables
     cl = state.clusters[int(state.z[i])]
-    start, w = cl.start, cl.stats.width
+    start, w = int(state._seg_start[cl.seg]), cl.stats.width
     length = int(state.lengths[i])
     base = state._base[i]
     at = base + int(state.offsets[i])
@@ -609,12 +599,11 @@ def resample_alignment(state: SamplerState, i: int, rng: np.random.Generator) ->
         o_old = int(state.offsets[i])
         o_new = _categorical(_alignment_weights(state, i), rng)
         if o_new != o_old:
-            start, w = cl.start, cl.stats.width
+            start, w = int(state._seg_start[cl.seg]), cl.stats.width
             motif = state._flat[:, state._base[i] :]
             state._cols[:, start : start + w] += motif[:, o_new : o_new + w] - motif[:, o_old : o_old + w]
             state._refresh(start, w)
             state.offsets[i] = o_new
-            state.background += state.core_base_sums(i, o_old, w) - state.core_base_sums(i, o_new, w)
     state.updates += 1
 
 
@@ -673,12 +662,9 @@ def resample_width(state: SamplerState, cids: Sequence[int], rng: np.random.Gene
     moved = (w_new != w_old).nonzero()[0]
     if not len(moved):
         return
-    # block[:, k, :w] is moved cluster k's core at width w; the background
-    # takes back each old core and gives up each new one
+    # block[:, k, :w] is moved cluster k's core at width w
     block = sums[:, moved]
-    cols = state._arange[: block.shape[2]]
-    old, new = cols < w_old[moved, None], cols < w_new[moved, None]
-    state.background += np.add.reduce(block[:4, old], axis=1) - np.add.reduce(block[:4, new], axis=1)
+    new = state._arange[: block.shape[2]] < w_new[moved, None]
     state._relocate([cls[r] for r in rows[moved].tolist()], w_new[moved].tolist(), block[:, new])
 
 
@@ -700,7 +686,6 @@ def run(data: Sequence[MotifRecord], hyper: Hyperparameters, config: RunConfig) 
     next_audit = config.audit_every
 
     for t in range(1, config.iterations + 1):
-        state.iteration = t
         for i in range(n):
             resample_assignment(state, i, rng)
         if config.align_every is not None and t % config.align_every == 0:

@@ -286,7 +286,7 @@ def best_partition_report(
     return multi + singles
 
 
-def report_text(reports: Sequence[ClusterReport], n_motifs: int | None = None) -> str:
+def report_text(reports: Sequence[ClusterReport], n_motifs: int) -> str:
     """Ranked plain-text report: one header line per cluster with size,
     strength, width and consensus, then one line per member with its
     membership probability.  Singleton entries (if present) follow the
@@ -305,10 +305,9 @@ def report_text(reports: Sequence[ClusterReport], n_motifs: int | None = None) -
         lines.append(f"singletons ({len(singles)}):")
         for rep in singles:
             lines.append(f"\t{rep.members[0]}\t{rep.membership[0]:.4f}")
-    if n_motifs is not None:
-        clustered = sum(r.size for r in multi)
-        lines.append("")
-        lines.append(f"motifs in multi-member clusters: {clustered}/{n_motifs}")
+    clustered = sum(r.size for r in multi)
+    lines.append("")
+    lines.append(f"motifs in multi-member clusters: {clustered}/{n_motifs}")
     return "\n".join(lines) + "\n"
 
 

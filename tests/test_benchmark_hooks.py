@@ -72,3 +72,36 @@ def test_stamp_targets_resolve():
     # the set-up and sampling stamps wrap these two functions
     for short, name in (("matrices", "filter_min_width"), ("traceio", "save_trace")):
         assert is_traced_function(short, name), f"{short}.{name}"
+
+
+def test_assign_and_align_hooks_count_from_the_state():
+    # the hooks read sampler state attributes and record UNKNOWN, rather
+    # than fail the run, once one of them is gone
+    import numpy as np
+
+    from motifclust.kernels import Hyperparameters
+    from motifclust.sampler import init_state, resample_alignment, resample_assignment
+    from motifclust.synthetic import planted_motif_groups
+
+    child = load_child()
+    data = planted_motif_groups(
+        n_groups=2, members=3, core_width=6, length=9, sites=20, peak=0.8, seed=5
+    ).records
+    rng = np.random.default_rng(3)
+    state = init_state(data, Hyperparameters(alpha=1.0, b=1.0, lam=6.0, wmin=4), rng)
+    tracer = child.Tracer()
+    spans = [
+        tracer.wrap("sampler.resample_assignment", resample_assignment),
+        tracer.wrap("sampler.resample_alignment", resample_alignment),
+    ]
+    buf = tracer._buffer()
+    counts = []
+    for _ in range(3):
+        for i in range(state.n_motifs()):
+            for span in spans:
+                span(state, i, rng)
+                counts.append((buf.last("x1"), buf.last("x2")))
+    assert not [c for c in counts if child.UNKNOWN in c]
+    # both moves scored candidates and moved something
+    for hook in (counts[0::2], counts[1::2]):
+        assert any(scored for scored, _ in hook) and any(moved for _, moved in hook)

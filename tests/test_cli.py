@@ -327,14 +327,25 @@ class TestExitCodes:
         assert entry(cluster_args(bad, tmp_path / "r", format="json")) == 2
         assert "bad.json" in capsys.readouterr().err
 
-    def test_flag_error_leaves_no_out_dir(self, motif_file, tmp_path):
+    def test_flag_error_leaves_no_out_dir(self, motif_file, tmp_path, capsys):
         out = tmp_path / "r"
-        assert entry(cluster_args(motif_file, out, alpha=-1)) == 1
-        assert not out.exists()
-        for b in ("-1", "nan", "inf"):
-            assert entry(["prior-sim", "--n", "5", "--replicates", "10",
-                          "--b", b, "--out", str(out)]) == 1
+
+        def exit_code(args):
+            try:
+                return entry(args)
+            except SystemExit as exc:  # argparse rejected the flag's type
+                return exc.code
+
+        prior_sim = ["prior-sim", "--n", "5", "--replicates", "10", "--out", str(out)]
+        for args in (
+            cluster_args(motif_file, out, alpha=-1),
+            cluster_args(motif_file, out, seed=-1),
+            *(prior_sim + ["--b", b] for b in ("-1", "nan", "inf")),
+            prior_sim + ["--seed", "-1"],
+        ):
+            assert exit_code(args) == 1
             assert not out.exists()
+        assert capsys.readouterr().err.count("argument --seed: must be >= 0") == 2
 
     def test_input_error_leaves_no_out_dir(self, tmp_path, monkeypatch):
         out = tmp_path / "r"

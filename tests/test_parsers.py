@@ -56,6 +56,12 @@ def test_parse_jaspar_bare_four_rows(ma0011):
     assert records[0].matrix == ma0011
 
 
+def test_parse_jaspar_bare_rows_before_header():
+    bare = "\n".join(MA0011_JASPAR.splitlines()[1:])
+    with pytest.raises(MotifParseError, match="line 5: bare four-row layout"):
+        parse_jaspar(bare + "\n>M1\n" + bare)
+
+
 def test_parse_jaspar_row_order_free(ma0011):
     lines = MA0011_JASPAR.splitlines()
     text = "\n".join([lines[0], lines[4], lines[3], lines[2], lines[1]])

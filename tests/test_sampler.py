@@ -21,6 +21,7 @@ from motifclust.kernels import (
 from motifclust.priorsim import simulate_partition
 from motifclust.sampler import (
     RunConfig,
+    SamplerState,
     _alignment_weights,
     _assignment_weights,
     _categorical,
@@ -453,7 +454,13 @@ class TestRunLoop:
         data = self.small_data()
         state = init_state(data, self.hyper(), np.random.default_rng(0))
         state.audit()
-        state.background[0] += 1
+        # shift a core to another feasible offset behind the table's back
+        width = [state.clusters[int(cid)].stats.width for cid in state.z]
+        i = next(i for i, w in enumerate(width) if state.lengths[i] > w)
+        w, o = width[i], int(state.offsets[i])
+        moved = (o + 1) % (int(state.lengths[i]) - w + 1)
+        assert not np.array_equal(state.core(i, o, w), state.core(i, moved, w))
+        state.offsets[i] = moved
         with pytest.raises(AssertionError):
             state.audit()
 
@@ -705,10 +712,10 @@ class TestColumnTableAudit:
     @pytest.mark.parametrize(
         "corrupt",
         [
-            lambda s, cl: s._cols.__setitem__((0, cl.start), s._cols[0, cl.start] + 1),
-            lambda s, cl: s._cols.__setitem__((4, cl.start), s._cols[4, cl.start] + 1),
-            lambda s, cl: s._fcol.__setitem__(cl.start, s._fcol[cl.start] + 1e-12),
-            lambda s, cl: s._pos.__setitem__(cl.start, s._pos[cl.start] + 1),
+            lambda s, cl: s._cols.__setitem__((0, s._seg_start[cl.seg]), s._cols[0, s._seg_start[cl.seg]] + 1),
+            lambda s, cl: s._cols.__setitem__((4, s._seg_start[cl.seg]), s._cols[4, s._seg_start[cl.seg]] + 1),
+            lambda s, cl: s._fcol.__setitem__(s._seg_start[cl.seg], s._fcol[s._seg_start[cl.seg]] + 1e-12),
+            lambda s, cl: s._pos.__setitem__(s._seg_start[cl.seg], s._pos[s._seg_start[cl.seg]] + 1),
             lambda s, cl: s._seg_prior.__setitem__(cl.seg, s._seg_prior[cl.seg] + 1.0),
             lambda s, cl: s._seg_start.__setitem__(cl.seg, s._seg_start[cl.seg] + 1),
             lambda s, cl: setattr(s, "_dead", s._dead + 1),
@@ -727,6 +734,56 @@ class TestColumnTableAudit:
         state._cols[0, int(state._seg_start[dead[0]])] += 1
         with pytest.raises(AssertionError):
             state.audit()
+
+    def test_background_is_total_less_every_core(self, monkeypatch):
+        compactions = []
+        compact = SamplerState._compact
+        monkeypatch.setattr(SamplerState, "_compact", lambda s: compactions.append(compact(s)))
+        # weak groups and a large b, so that members also leave for new clusters
+        data = planted_motif_groups(
+            n_groups=3, members=3, core_width=6, length=9, sites=20, peak=0.5, seed=5
+        ).records
+        hyper = Hyperparameters(alpha=1.0, b=5.0, lam=6.0, wmin=4)
+        rng = np.random.default_rng(2)
+        state = init_state(data, hyper, rng)
+        n = state.n_motifs()
+        total = sum(r.matrix.counts.sum(axis=0) for r in data)
+        seen = set()
+
+        def check():
+            expected = total.copy()
+            for i in range(n):
+                w = state.clusters[int(state.z[i])].stats.width
+                expected -= state.core(i, int(state.offsets[i]), w).sum(axis=0)
+            assert np.array_equal(state.background, expected)
+
+        for _ in range(40):
+            for i in range(n):
+                cid, live = int(state.z[i]), set(state.clusters)
+                cl = state.clusters[cid]
+                solo, w = cl.stats.member_count == 1, cl.stats.width
+                resample_assignment(state, i, rng)
+                now = int(state.z[i])
+                if now not in live:
+                    seen.add("new cluster")
+                elif now != cid:
+                    seen.add("join")
+                elif solo and state.clusters[now].stats.width != w:
+                    seen.add("singleton width")
+                check()
+                o = int(state.offsets[i])
+                resample_alignment(state, i, rng)
+                if int(state.offsets[i]) != o:
+                    seen.add("alignment")
+                check()
+            widths = {cid: cl.stats.width for cid, cl in state.clusters.items()}
+            resample_width(state, sorted(state.clusters), rng)
+            if any(cl.stats.width != widths[cid] for cid, cl in state.clusters.items()):
+                seen.add("width")
+            check()
+        assert seen == {"new cluster", "join", "singleton width", "alignment", "width"}
+        assert compactions
+        state.audit()
 
     def test_table_capacity_fixed_over_long_runs(self):
         data = planted_motif_groups(
