@@ -123,7 +123,12 @@ class GammaTables:
 
     def column_marginals(self, cols: np.ndarray) -> np.ndarray:
         """f of every column of a column stack (stack rows on axis 0, any
-        trailing shape); totals must stay below `split`."""
+        trailing shape); totals must stay below `split`.
+
+        Pass row-major stacks (unit-stride columns): the gather then comes
+        out C-contiguous and each marginal sums five contiguous rows.  On a
+        column-major stack the same reduce is a five-element strided loop
+        per column, about 6x slower."""
         return np.add.reduce(self.lut[cols], axis=0)
 
     def log_dm_matrix(self, counts: np.ndarray) -> float:

@@ -126,6 +126,11 @@ class SamplerState:
     The table is the only copy of the cluster counts: moves update it and
     nothing else, and the background (per-base counts outside the cores of
     attached motifs) is derived from it on demand.
+
+    The table, the motif store `_flat` and every stack gathered from them
+    are row-major, so each column marginal sums five contiguous rows (see
+    GammaTables.column_marginals); a column-major stack makes that reduce,
+    most of an assignment update, about 6x slower.
     """
 
     __slots__ = (
@@ -148,6 +153,7 @@ class SamplerState:
         "_base_arr",
         "_win",
         "_wprior",
+        "_wcdf",
         "_bg",
         "_new_prefix",
         "_cols",
@@ -195,7 +201,7 @@ class SamplerState:
         spans = self.lengths + max_len
         self._base_arr = np.add.accumulate(spans) - spans
         self._base = self._base_arr.tolist()
-        self._flat = np.zeros((5, int(spans.sum())), dtype=np.int64, order="F")
+        self._flat = np.zeros((5, int(spans.sum())), dtype=np.int64)
         self._win = np.lib.stride_tricks.sliding_window_view(self._flat, max_len, axis=1)
         # _bg[i][o, w]: background term of core [o, o + w), +inf where it
         # does not fit; _new_prefix[i][j]: new-cluster weight of columns < j
@@ -221,15 +227,20 @@ class SamplerState:
         # live columns never exceed the summed lengths, retired ones never
         # exceed the live ones before an append: capacity is fixed
         capacity = 2 * int(self.lengths.sum()) + max_len
-        self._cols = np.zeros((5, capacity), dtype=np.int64, order="F")
+        self._cols = np.zeros((5, capacity), dtype=np.int64)
         self._fcol = np.zeros(capacity)
         self._pos = np.zeros(capacity, dtype=np.int64)
         self._empty = tables.stack(np.zeros((1, 4), dtype=np.int64))
         self._arange = np.arange(max_len + 1)
-        # _wprior[top, w]: log_width_probs(hyper, top) at w, -inf off wmin..top
+        # _wprior[top, w]: log_width_probs(hyper, top) at w, -inf off wmin..top;
+        # _wcdf[top]: the unnormalised CDF _categorical builds from it, which
+        # a new cluster on a motif of length top draws its width from
         self._wprior = np.full((max_len + 1, max_len + 1), -np.inf)
+        self._wcdf: list[np.ndarray | None] = [None] * (max_len + 1)
         for top in range(hyper.wmin, max_len + 1):
-            self._wprior[top, hyper.wmin : top + 1] = log_width_probs(hyper, top)
+            lw = log_width_probs(hyper, top)
+            self._wprior[top, hyper.wmin : top + 1] = lw
+            self._wcdf[top] = np.add.accumulate(np.exp(lw - np.maximum.reduce(lw)))
         self._ncols = 0
         self._dead = 0
         segments = n + int(self.lengths.sum()) + 1
@@ -268,9 +279,16 @@ class SamplerState:
     def _log_mass(self, member_count: int) -> float:
         return math.log(member_count) if self._dp else 0.0
 
-    def _refresh(self, start: int, width: int) -> None:
-        cols = self._cols[:, start : start + width]
-        self._fcol[start : start + width] = self.tables.column_marginals(cols)
+    def _update(self, start: int, op: np.ufunc, cols: np.ndarray) -> None:
+        """Apply `op` (np.add or np.subtract) with the column stack `cols` to
+        the table columns from `start` on, in place, and refresh their
+        marginals."""
+        end = start + cols.shape[1]
+        seg = self._cols[:, start:end]
+        # out=, not `+=` on a slice, which writes the strided segment back a
+        # second time: a visible cost on small tables
+        op(seg, cols, out=seg)
+        self._fcol[start:end] = self.tables.column_marginals(seg)
 
     def _place(self, cls: list[_Cluster], cols: np.ndarray) -> None:
         """Append one segment per cluster in cls, in order, holding `cols`:
@@ -279,7 +297,7 @@ class SamplerState:
             self._compact()
         start, end = self._ncols, self._ncols + cols.shape[1]
         self._cols[:, start:end] = cols
-        self._refresh(start, end - start)
+        self._fcol[start:end] = self.tables.column_marginals(cols)
         for seg, cl in enumerate(cls, len(self._seg_owner)):
             width = cl.stats.width
             self._pos[start : start + width] = self._arange[:width]
@@ -334,11 +352,11 @@ class SamplerState:
     def _core_stack(self, members: set[int], width: int) -> np.ndarray:
         """Column stack, as the table holds it, of these motifs' cores
         summed, each `width` columns wide at its current offset."""
-        cols = np.zeros((5, width), dtype=np.int64, order="F")
-        for i in members:
-            at = self._base[i] + int(self.offsets[i])
+        starts = [self._base[i] + int(self.offsets[i]) for i in members]
+        # _empty is a zero column stack: it adds `split` to the totals row
+        cols = self._flat[:, starts[0] : starts[0] + width] + self._empty
+        for at in starts[1:]:
             cols += self._flat[:, at : at + width]
-        cols[4] += self.tables.split
         return cols
 
     def _new_cluster(self, members: set[int], width: int) -> int:
@@ -360,8 +378,7 @@ class SamplerState:
         cl = self.clusters[cid]
         start, w = int(self._seg_start[cl.seg]), cl.stats.width
         at = self._base[i] + int(self.offsets[i])
-        self._cols[:, start : start + w] += self._flat[:, at : at + w]
-        self._refresh(start, w)
+        self._update(start, np.add, self._flat[:, at : at + w])
         cl.stats.member_count += 1
         cl.members.add(i)
         self._seg_prior[cl.seg] = self._log_mass(cl.stats.member_count)
@@ -380,8 +397,7 @@ class SamplerState:
         else:
             start, w = int(self._seg_start[cl.seg]), cl.stats.width
             at = self._base[i] + int(self.offsets[i])
-            self._cols[:, start : start + w] -= self._flat[:, at : at + w]
-            self._refresh(start, w)
+            self._update(start, np.subtract, self._flat[:, at : at + w])
             self._seg_prior[cl.seg] = self._log_mass(cl.stats.member_count)
 
     def audit(self) -> None:
@@ -447,7 +463,7 @@ class SamplerState:
 
     def log_joint_fast(self) -> float:
         """Joint log density from the incrementally-maintained statistics."""
-        lp = log_partition_prior(self.z, self.hyper)
+        lp = log_partition_prior(self.z.tolist(), self.hyper)
         lp += float(self.background @ self._log_theta0)
         # retired columns hold f = 0
         lp += float(np.add.reduce(self._fcol[: self._ncols]))
@@ -458,22 +474,15 @@ class SamplerState:
         return lp
 
     def snapshot(self, iteration: int, log_joint: float) -> Snapshot:
-        relabel: dict[int, int] = {}
-        z = np.empty_like(self.z)
-        for i, lab in enumerate(self.z):
-            lab = int(lab)
-            if lab not in relabel:
-                relabel[lab] = len(relabel)
-            z[i] = relabel[lab]
-        widths = np.zeros(len(relabel), dtype=np.int64)
-        for old, new in relabel.items():
-            widths[new] = self.clusters[old].stats.width
+        labels = self.z.tolist()
+        # canonical labels number the clusters in order of first appearance
+        relabel = {lab: k for k, lab in enumerate(dict.fromkeys(labels))}
         return Snapshot(
             iteration=iteration,
             log_joint=log_joint,
-            z=z,
+            z=np.array([relabel[lab] for lab in labels], dtype=np.int64),
             offsets=self.offsets.copy(),
-            widths=widths,
+            widths=np.array([self.clusters[lab].stats.width for lab in relabel], dtype=np.int64),
         )
 
 
@@ -508,6 +517,14 @@ def _categorical(logw: np.ndarray, rng: np.random.Generator) -> int:
     return int(cum.searchsorted(rng.random() * cum[-1], side="right"))
 
 
+def _new_width(state: SamplerState, length: int, rng: np.random.Generator) -> int:
+    """Width of a new cluster on a motif of this length: the draw
+    `wmin + _categorical(log_width_probs(hyper, length), rng)`, read from the
+    CDF built at state set-up."""
+    cum = state._wcdf[length]
+    return state.hyper.wmin + int(cum.searchsorted(rng.random() * cum[-1], side="right"))
+
+
 def _assignment_weights(state: SamplerState, i: int) -> np.ndarray:
     """Unnormalized log weights of motif i, held out of its own cluster,
     joining each segment of the column table (in table order), then of
@@ -521,13 +538,17 @@ def _assignment_weights(state: SamplerState, i: int) -> np.ndarray:
     bg = state._bg[i][o]
     # the motif's columns against every table column; subtracted on its own
     # segment, so that segment evaluates the other members without it
-    motif = state._flat.T[state._base[i] + o :].take(state._pos[:n], axis=0).T
-    motif[:, start : start + w] *= -1
-    gain = state.tables.column_marginals(state._cols[:, :n] + motif) - state._fcol[:n]
+    motif = state._win[:, state._base[i] + o].take(state._pos[:n], axis=1)
+    own = motif[:, start : start + w]
+    np.negative(own, out=own)
+    np.add(motif, state._cols[:, :n], out=motif)
+    gain = state.tables.column_marginals(motif)
+    np.subtract(gain, state._fcol[:n], out=gain)
     logw = np.empty(k + 1)
-    np.add.reduceat(gain, state._seg_start[:k], out=logw[:k])
+    joins = logw[:k]
+    np.add.reduceat(gain, state._seg_start[:k], out=joins)
     leave = logw[cl.seg]
-    logw[:k] += state._seg_prior[:k] - bg[state._seg_width[:k]]
+    np.add(joins, state._seg_prior[:k] - bg[state._seg_width[:k]], out=joins)
     others = cl.stats.member_count - 1
     logw[cl.seg] = -leave + state._log_mass(others) - bg[w] if others else -np.inf
     new_prefix = state._new_prefix[i]
@@ -553,9 +574,8 @@ def resample_assignment(state: SamplerState, i: int, rng: np.random.Generator) -
             state.detach(i)
             state.attach(i, state._seg_owner[choice].cid)
     else:
-        hyper = state.hyper
         length = int(state.lengths[i])
-        w_new = hyper.wmin + _categorical(log_width_probs(hyper, length), rng)
+        w_new = _new_width(state, length, rng)
         o = min(int(state.offsets[i]), length - w_new)
         if cl.stats.member_count > 1:
             state.detach(i)
@@ -601,8 +621,7 @@ def resample_alignment(state: SamplerState, i: int, rng: np.random.Generator) ->
         if o_new != o_old:
             start, w = int(state._seg_start[cl.seg]), cl.stats.width
             motif = state._flat[:, state._base[i] :]
-            state._cols[:, start : start + w] += motif[:, o_new : o_new + w] - motif[:, o_old : o_old + w]
-            state._refresh(start, w)
+            state._update(start, np.add, motif[:, o_new : o_new + w] - motif[:, o_old : o_old + w])
             state.offsets[i] = o_new
     state.updates += 1
 

@@ -8,7 +8,8 @@ complete line.  Record kinds:
               hyperparameters, and the initial-state snapshot
     iter      per-iteration log joint density and cluster count
     snapshot  one thinned post-burn-in state (labels, offsets, widths)
-    best      the highest-density post-burn-in state
+    best      the highest-density post-burn-in state; always the last
+              record, and written exactly once
 
 Paths ending in ".gz" select the compact variant: the identical byte
 stream, gzip-compressed with a zeroed timestamp so reruns stay
@@ -139,7 +140,8 @@ def load_trace(path: str | Path) -> RunTrace:
     """Read a trace file back into a RunTrace.
 
     Fails with TraceFormatError on a missing or foreign header, an
-    unsupported version, a missing or repeated iteration record, or a
+    unsupported version, a missing or repeated iteration record, a record
+    of unknown kind, a repeated best record or any record after it, or a
     truncated file (no best record).
     """
     lines = [line for line in _read_text(Path(path)).splitlines() if line]
@@ -163,6 +165,14 @@ def load_trace(path: str | Path) -> RunTrace:
     for line in lines[1:]:
         rec = json.loads(line)
         kind = rec.get("kind")
+        if kind not in ("iter", "snapshot", "best"):
+            raise TraceFormatError(f"{path}: unknown record kind {kind!r}")
+        if best is not None:
+            raise TraceFormatError(
+                f"{path}: repeated best record"
+                if kind == "best"
+                else f"{path}: {kind} record after the best record"
+            )
         if kind == "iter":
             t = rec["t"]
             if not 1 <= t <= config.iterations:
@@ -174,10 +184,8 @@ def load_trace(path: str | Path) -> RunTrace:
             n_clusters[t - 1] = rec["n_clusters"]
         elif kind == "snapshot":
             snapshots.append(_snapshot_from(rec))
-        elif kind == "best":
-            best = _snapshot_from(rec)
         else:
-            raise TraceFormatError(f"{path}: unknown record kind {kind!r}")
+            best = _snapshot_from(rec)
     if not seen.all():
         raise TraceFormatError(
             f"{path}: {int(seen.sum())} iteration records, expected {config.iterations}"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from motifclust import CountMatrix, MotifRecord
 from motifclust.kernels import (
     ClusterStats,
+    GammaTables,
     Hyperparameters,
     PriorKind,
     log_background,
@@ -16,6 +17,7 @@ from motifclust.kernels import (
     log_pred_join,
     log_pred_new,
     log_width_prior,
+    log_width_probs,
     seq_prior_weights,
 )
 from motifclust.priorsim import simulate_partition
@@ -25,6 +27,7 @@ from motifclust.sampler import (
     _alignment_weights,
     _assignment_weights,
     _categorical,
+    _new_width,
     _width_weights,
     Snapshot,
     init_state,
@@ -922,3 +925,75 @@ class TestTableBound:
                 resample_alignment(state, i, rng)
             resample_width(state, sorted(state.clusters), rng)
             check()
+
+
+class TestNewClusterWidthDraw:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(0.1, 30.0),
+        st.integers(1, 8),
+        st.integers(0, 10),
+        st.integers(0, 4),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_table_draw_is_the_categorical_draw(self, lam, wmin, extra, longer, seed):
+        # the table covers every length up to the longest motif, not only L
+        length = wmin + extra
+        hyper = Hyperparameters(lam=lam, wmin=wmin)
+        data = [rec("m0", np.ones((length, 4))), rec("m1", np.ones((length + longer, 4)))]
+        state = SamplerState(data, hyper)
+        table_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            expected = wmin + _categorical(log_width_probs(hyper, length), ref_rng)
+            assert _new_width(state, length, table_rng) == expected
+        assert table_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestRowMajorLayout:
+    def test_every_column_marginal_reduce_is_contiguous(self, monkeypatch):
+        compactions = []
+        compact = SamplerState._compact
+        monkeypatch.setattr(SamplerState, "_compact", lambda s: compactions.append(compact(s)))
+        # weak groups and a large b: joins, singletons and new clusters mix
+        data = planted_motif_groups(
+            n_groups=3, members=3, core_width=6, length=9, sites=20, peak=0.5, seed=5
+        ).records
+        hyper = Hyperparameters(alpha=1.0, b=5.0, lam=6.0, wmin=4)
+        rng = np.random.default_rng(2)
+        state = init_state(data, hyper, rng)
+        n = state.n_motifs()
+
+        def mixed():
+            sizes = [cl.stats.member_count for cl in state.clusters.values()]
+            return compactions and max(sizes) > 1 and min(sizes) == 1
+
+        for _ in range(40):
+            if mixed():
+                break
+            for i in range(n):
+                resample_assignment(state, i, rng)
+                resample_alignment(state, i, rng)
+            resample_width(state, sorted(state.clusters), rng)
+        assert mixed()
+        assert state._cols.flags.c_contiguous and state._flat.flags.c_contiguous
+
+        stacks = collections.Counter()
+        marginals = GammaTables.column_marginals
+
+        def checked(tables, cols):
+            assert cols.strides[-1] == cols.itemsize
+            assert tables.lut[cols].flags.c_contiguous
+            stacks[sweep] += 1
+            return marginals(tables, cols)
+
+        monkeypatch.setattr(GammaTables, "column_marginals", checked)
+        sweep = "assign"
+        for i in range(n):
+            resample_assignment(state, i, rng)
+        sweep = "align"
+        for i in range(n):
+            resample_alignment(state, i, rng)
+        sweep = "width"
+        resample_width(state, sorted(state.clusters), rng)
+        assert set(stacks) == {"assign", "align", "width"}
+        state.audit()

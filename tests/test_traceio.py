@@ -250,6 +250,24 @@ class TestFormatGuards:
         with pytest.raises(TraceFormatError, match="mystery"):
             load_trace(path)
 
+    def test_repeated_best_record_rejected(self, tmp_path):
+        path = save_trace(small_trace(), tmp_path / "c.jsonl")
+        best = json.loads(path.read_text().splitlines()[-1])
+        with open(path, "a") as fh:
+            fh.write(json.dumps({**best, "log_joint": 1e9}) + "\n")
+        with pytest.raises(TraceFormatError, match="repeated best record"):
+            load_trace(path)
+
+    def test_record_after_best_rejected(self, tmp_path):
+        path = save_trace(small_trace(), tmp_path / "c.jsonl")
+        lines = path.read_text().splitlines()
+        assert [json.loads(ln)["kind"] for ln in lines].count("best") == 1
+        snapshot = next(ln for ln in lines if json.loads(ln)["kind"] == "snapshot")
+        with open(path, "a") as fh:
+            fh.write(snapshot + "\n")
+        with pytest.raises(TraceFormatError, match="snapshot record after the best record"):
+            load_trace(path)
+
     def test_corrupt_gzip_is_distinguishable(self, tmp_path):
         path = tmp_path / "c.jsonl.gz"
         path.write_bytes(b"not gzip at all")
