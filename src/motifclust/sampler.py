@@ -131,6 +131,16 @@ class SamplerState:
     are row-major, so each column marginal sums five contiguous rows (see
     GammaTables.column_marginals); a column-major stack makes that reduce,
     most of an assignment update, about 6x slower.
+
+    Every write to the table or the segment map advances the mutation clock
+    `_clock`, and every segment written carries the clock value of its last
+    write in `_seg_stamp` (unique across segments; compaction carries it
+    along).  The moves memoise their conditionals against these: per motif
+    one alignment CDF keyed on its segment's stamp and one assignment CDF
+    keyed on the clock, plus the width sweep's last evaluation keyed on the
+    clock and the clusters it covered.  A memo whose key is current is the
+    conditional a fresh evaluation would give, bit for bit (audit checks
+    this), so a hit only skips the arithmetic, never changes a draw.
     """
 
     __slots__ = (
@@ -167,6 +177,11 @@ class SamplerState:
         "_seg_width",
         "_seg_prior",
         "_seg_owner",
+        "_seg_stamp",
+        "_clock",
+        "_align_memo",
+        "_assign_memo",
+        "_width_memo",
     )
 
     def __init__(self, data: Sequence[MotifRecord], hyper: Hyperparameters):
@@ -233,14 +248,14 @@ class SamplerState:
         self._empty = tables.stack(np.zeros((1, 4), dtype=np.int64))
         self._arange = np.arange(max_len + 1)
         # _wprior[top, w]: log_width_probs(hyper, top) at w, -inf off wmin..top;
-        # _wcdf[top]: the unnormalised CDF _categorical builds from it, which
-        # a new cluster on a motif of length top draws its width from
+        # _wcdf[top]: its unnormalised CDF (see _cdf), which a new cluster on
+        # a motif of length top draws its width from
         self._wprior = np.full((max_len + 1, max_len + 1), -np.inf)
         self._wcdf: list[np.ndarray | None] = [None] * (max_len + 1)
         for top in range(hyper.wmin, max_len + 1):
             lw = log_width_probs(hyper, top)
             self._wprior[top, hyper.wmin : top + 1] = lw
-            self._wcdf[top] = np.add.accumulate(np.exp(lw - np.maximum.reduce(lw)))
+            self._wcdf[top] = _cdf(lw)
         self._ncols = 0
         self._dead = 0
         segments = n + int(self.lengths.sum()) + 1
@@ -248,6 +263,13 @@ class SamplerState:
         self._seg_width = np.zeros(segments, dtype=np.int64)
         self._seg_prior = np.zeros(segments)
         self._seg_owner: list[_Cluster | None] = []
+        self._seg_stamp = np.zeros(segments, dtype=np.int64)
+        self._clock = 0
+        # (key, CDF) per motif, and (key, rows, CDF, sums) of the width sweep;
+        # key -1 never matches
+        self._align_memo: list[tuple[int, np.ndarray | None]] = [(-1, None)] * n
+        self._assign_memo: list[tuple[int, np.ndarray | None]] = [(-1, None)] * n
+        self._width_memo: tuple = ((-1, ()), None, None, None)
 
     # ------------------------------------------------------------ bookkeeping
 
@@ -279,16 +301,19 @@ class SamplerState:
     def _log_mass(self, member_count: int) -> float:
         return math.log(member_count) if self._dp else 0.0
 
-    def _update(self, start: int, op: np.ufunc, cols: np.ndarray) -> None:
+    def _update(self, seg: int, op: np.ufunc, cols: np.ndarray) -> None:
         """Apply `op` (np.add or np.subtract) with the column stack `cols` to
-        the table columns from `start` on, in place, and refresh their
-        marginals."""
+        the columns of segment `seg`, in place, refresh their marginals and
+        stamp the segment."""
+        self._clock += 1
+        self._seg_stamp[seg] = self._clock
+        start = int(self._seg_start[seg])
         end = start + cols.shape[1]
-        seg = self._cols[:, start:end]
+        span = self._cols[:, start:end]
         # out=, not `+=` on a slice, which writes the strided segment back a
         # second time: a visible cost on small tables
-        op(seg, cols, out=seg)
-        self._fcol[start:end] = self.tables.column_marginals(seg)
+        op(span, cols, out=span)
+        self._fcol[start:end] = self.tables.column_marginals(span)
 
     def _place(self, cls: list[_Cluster], cols: np.ndarray) -> None:
         """Append one segment per cluster in cls, in order, holding `cols`:
@@ -299,6 +324,8 @@ class SamplerState:
         self._cols[:, start:end] = cols
         self._fcol[start:end] = self.tables.column_marginals(cols)
         for seg, cl in enumerate(cls, len(self._seg_owner)):
+            self._clock += 1
+            self._seg_stamp[seg] = self._clock
             width = cl.stats.width
             self._pos[start : start + width] = self._arange[:width]
             self._seg_start[seg] = start
@@ -313,6 +340,7 @@ class SamplerState:
     def _retire(self, cl: _Cluster) -> None:
         """Empty cluster cl's segment (zero counts and marginals) and mark
         it retired."""
+        self._clock += 1
         start, width = int(self._seg_start[cl.seg]), cl.stats.width
         self._cols[:, start : start + width] = self._empty
         self._fcol[start : start + width] = 0.0
@@ -330,6 +358,7 @@ class SamplerState:
 
     def _compact(self) -> None:
         """Drop retired segments, keeping the live ones in table order."""
+        self._clock += 1
         k, n = len(self._seg_owner), self._ncols
         alive = self._seg_prior[:k] > -np.inf
         keep = np.repeat(alive, self._seg_width[:k])
@@ -340,6 +369,7 @@ class SamplerState:
         widths = self._seg_width[:k][alive]
         live = len(widths)
         self._seg_prior[:live] = self._seg_prior[:k][alive]
+        self._seg_stamp[:live] = self._seg_stamp[:k][alive]
         self._seg_width[:live] = widths
         self._seg_start[:live] = np.cumsum(widths) - widths
         self._seg_owner = [cl for cl in self._seg_owner if cl is not None]
@@ -376,9 +406,9 @@ class SamplerState:
     def attach(self, i: int, cid: int) -> None:
         """Add motif i's core (at its current offset) to cluster cid."""
         cl = self.clusters[cid]
-        start, w = int(self._seg_start[cl.seg]), cl.stats.width
+        w = cl.stats.width
         at = self._base[i] + int(self.offsets[i])
-        self._update(start, np.add, self._flat[:, at : at + w])
+        self._update(cl.seg, np.add, self._flat[:, at : at + w])
         cl.stats.member_count += 1
         cl.members.add(i)
         self._seg_prior[cl.seg] = self._log_mass(cl.stats.member_count)
@@ -395,9 +425,9 @@ class SamplerState:
             self._retire(cl)
             del self.clusters[cid]
         else:
-            start, w = int(self._seg_start[cl.seg]), cl.stats.width
+            w = cl.stats.width
             at = self._base[i] + int(self.offsets[i])
-            self._update(start, np.subtract, self._flat[:, at : at + w])
+            self._update(cl.seg, np.subtract, self._flat[:, at : at + w])
             self._seg_prior[cl.seg] = self._log_mass(cl.stats.member_count)
 
     def audit(self) -> None:
@@ -458,6 +488,25 @@ class SamplerState:
             start += w
         if start != self._ncols or dead != self._dead:
             raise AssertionError("column table extent out of sync")
+        stamps = self._seg_stamp[: len(self._seg_owner)]
+        if len(np.unique(stamps)) != len(stamps) or np.any(stamps > self._clock):
+            raise AssertionError("segment stamps out of sync")
+        # a memo whose key is current must be what a fresh evaluation gives
+        for i, (key, cum) in enumerate(self._align_memo):
+            seg = self.clusters[int(self.z[i])].seg
+            if key == self._seg_stamp[seg] and not np.array_equal(
+                cum, _cdf(_alignment_weights(self, i))
+            ):
+                raise AssertionError(f"motif {i} alignment memo stale")
+        for i, (key, cum) in enumerate(self._assign_memo):
+            if key == self._clock and not np.array_equal(cum, _cdf(_assignment_weights(self, i))):
+                raise AssertionError(f"motif {i} assignment memo stale")
+        (clock, cids), *memo = self._width_memo
+        if clock == self._clock:
+            rows, logw, sums = _width_weights(self, [self.clusters[cid] for cid in cids])
+            fresh = (rows, None if logw is None else _cdf(logw), sums)
+            if not all(np.array_equal(a, b) for a, b in zip(memo, fresh)):
+                raise AssertionError("width memo stale")
 
     # ------------------------------------------------------------- densities
 
@@ -509,20 +558,33 @@ def init_state(
 # ------------------------------------------------------------------ moves
 
 
-def _categorical(logw: np.ndarray, rng: np.random.Generator) -> int:
+def _cdf(logw: np.ndarray) -> np.ndarray:
+    """Unnormalised CDF of the log weights along their last axis, each row
+    scaled by its largest weight."""
     # ufunc methods, not np.max/np.cumsum/np.searchsorted: on small inputs
     # their Python-level dispatch is a sizeable share of an update
-    w = np.exp(logw - np.maximum.reduce(logw))
-    cum = np.add.accumulate(w)
+    top = np.maximum.reduce(logw, -1)
+    if logw.ndim > 1:
+        top = top[:, None]
+    return np.add.accumulate(np.exp(logw - top), -1)
+
+
+def _draw(cum: np.ndarray, rng: np.random.Generator) -> int:
+    """Inverse-CDF draw of an index from an unnormalised CDF, one uniform."""
     return int(cum.searchsorted(rng.random() * cum[-1], side="right"))
+
+
+def _categorical(logw: np.ndarray, rng: np.random.Generator) -> int:
+    """One draw from the log weights: what every memoised or tabled draw
+    reproduces."""
+    return _draw(_cdf(logw), rng)
 
 
 def _new_width(state: SamplerState, length: int, rng: np.random.Generator) -> int:
     """Width of a new cluster on a motif of this length: the draw
     `wmin + _categorical(log_width_probs(hyper, length), rng)`, read from the
     CDF built at state set-up."""
-    cum = state._wcdf[length]
-    return state.hyper.wmin + int(cum.searchsorted(rng.random() * cum[-1], side="right"))
+    return state.hyper.wmin + _draw(state._wcdf[length], rng)
 
 
 def _assignment_weights(state: SamplerState, i: int) -> np.ndarray:
@@ -566,9 +628,17 @@ def resample_assignment(state: SamplerState, i: int, rng: np.random.Generator) -
     new cluster draws its width from the truncated width prior and clamps
     the offset to keep the core inside the matrix.  Staying put leaves the
     state untouched.
+
+    The CDF of these weights is memoised per motif against the state's
+    mutation clock: when nothing in the table has changed since the motif's
+    last visit, the draw reads the stored CDF.
     """
     cl = state.clusters[int(state.z[i])]
-    choice = _categorical(_assignment_weights(state, i), rng)
+    key, cum = state._assign_memo[i]
+    if key != state._clock:
+        cum = _cdf(_assignment_weights(state, i))
+        state._assign_memo[i] = (state._clock, cum)
+    choice = _draw(cum, rng)
     if choice < len(state._seg_owner):
         if choice != cl.seg:
             state.detach(i)
@@ -613,15 +683,25 @@ def resample_alignment(state: SamplerState, i: int, rng: np.random.Generator) ->
     feasible offset is scored by the join predictive against the remaining
     members (for singletons this is the fresh-cluster marginal) plus the
     background term for the columns it displaces.
+
+    The CDF of these weights is memoised per motif against the stamp of its
+    cluster's segment, which changes with every write to those columns
+    (including the motif's own moves): while the stamp holds, the draw reads
+    the stored CDF.
     """
     cl = state.clusters[int(state.z[i])]
     if int(state.lengths[i]) > cl.stats.width:
         o_old = int(state.offsets[i])
-        o_new = _categorical(_alignment_weights(state, i), rng)
+        stamp = int(state._seg_stamp[cl.seg])
+        key, cum = state._align_memo[i]
+        if key != stamp:
+            cum = _cdf(_alignment_weights(state, i))
+            state._align_memo[i] = (stamp, cum)
+        o_new = _draw(cum, rng)
         if o_new != o_old:
-            start, w = int(state._seg_start[cl.seg]), cl.stats.width
+            w = cl.stats.width
             motif = state._flat[:, state._base[i] :]
-            state._update(start, np.add, motif[:, o_new : o_new + w] - motif[:, o_old : o_old + w])
+            state._update(cl.seg, np.add, motif[:, o_new : o_new + w] - motif[:, o_old : o_old + w])
             state.offsets[i] = o_new
     state.updates += 1
 
@@ -667,14 +747,23 @@ def resample_width(state: SamplerState, cids: Sequence[int], rng: np.random.Gene
     _width_weights), one uniform per cluster with more than one feasible
     width, in list order.  The moved clusters are retired and appended to
     the column table as one block.
+
+    The evaluation is memoised against the state's mutation clock and the
+    listed clusters: a sweep that finds the table as the last one left it
+    draws from the stored CDFs.
     """
     cls = [state.clusters[cid] for cid in cids]
     state.updates += len(cls)
-    rows, logw, sums = _width_weights(state, cls)
-    if logw is None:
+    key = (state._clock, tuple(cids))
+    if state._width_memo[0] == key:
+        _, rows, cum, sums = state._width_memo
+    else:
+        rows, logw, sums = _width_weights(state, cls)
+        cum = None if logw is None else _cdf(logw)
+        state._width_memo = (key, rows, cum, sums)
+    if cum is None:
         return
-    # row-wise inverse CDF, searchsorted(side="right") as in _categorical
-    cum = np.add.accumulate(np.exp(logw - np.maximum.reduce(logw, axis=1)[:, None]), axis=1)
+    # row-wise inverse CDF, searchsorted(side="right") as in _draw
     u = rng.random(len(rows)) * cum[:, -1]
     w_new = state.hyper.wmin + np.add.reduce(cum <= u[:, None], axis=1)
     w_old = np.array([cls[r].stats.width for r in rows.tolist()])

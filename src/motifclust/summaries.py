@@ -128,25 +128,6 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return not self.children
 
-    def leaf_names(self) -> list[str]:
-        if self.is_leaf():
-            return [self.name or ""]
-        out: list[str] = []
-        for child in self.children:
-            out.extend(child.leaf_names())
-        return out
-
-    def merge_heights(self) -> list[float]:
-        """Heights of all internal nodes, sorted ascending."""
-        out: list[float] = []
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if not node.is_leaf():
-                out.append(node.height)
-                stack.extend(node.children)
-        return sorted(out)
-
 
 def average_linkage_tree(d: np.ndarray, ids: Sequence[str]) -> TreeNode:
     """Agglomerative average-linkage clustering of a dissimilarity matrix.

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motifclust import CountMatrix, MotifRecord
+from motifclust import CountMatrix, MotifRecord, sampler
 from motifclust.kernels import (
     ClusterStats,
     GammaTables,
@@ -997,3 +997,91 @@ class TestRowMajorLayout:
         resample_width(state, sorted(state.clusters), rng)
         assert set(stacks) == {"assign", "align", "width"}
         state.audit()
+
+
+class TestMemoisedConditionals:
+    """The moves' memoised CDFs (alignment, assignment, width sweep) are
+    what a fresh evaluation gives, so they change no draw."""
+
+    WRITERS = ("_update", "_place", "_retire", "_compact")
+    MOVES = {
+        "resample_assignment": "_assignment_weights",
+        "resample_alignment": "_alignment_weights",
+        "resample_width": "_width_weights",
+    }
+
+    def case(self):
+        # weak groups, each member's core at its own offset: members keep
+        # moving, so every memo site both hits and misses
+        data = planted_motif_groups(
+            n_groups=3, members=4, core_width=6, length=10, sites=20, peak=0.6, seed=0
+        ).records
+        hyper = Hyperparameters(alpha=1.0, b=1.0, lam=6.0, wmin=4, prior_kind=PriorKind.UNIFORM)
+        return data, hyper, RunConfig(iterations=40, seed=3, align_every=1, audit_every=1)
+
+    def test_memos_hit_and_miss_and_match_fresh_evaluations(self, monkeypatch):
+        evaluations = collections.Counter()
+        visits = collections.Counter()
+        for move, weights in self.MOVES.items():
+            inner, fresh = getattr(sampler, move), getattr(sampler, weights)
+
+            def evaluate(*args, _fresh=fresh, _move=move):
+                evaluations[_move] += 1
+                return _fresh(*args)
+
+            def visit(state, arg, rng, _inner=inner, _move=move):
+                if _move == "resample_alignment":
+                    if state.lengths[arg] == state.clusters[int(state.z[arg])].stats.width:
+                        return _inner(state, arg, rng)  # a single offset: no conditional
+                before = evaluations[_move]
+                _inner(state, arg, rng)
+                visits[_move, "miss" if evaluations[_move] > before else "hit"] += 1
+
+            monkeypatch.setattr(sampler, weights, evaluate)
+            monkeypatch.setattr(sampler, move, visit)
+        # every write to the column table or the segment map advances the clock
+        writes = collections.Counter()
+        for name in self.WRITERS:
+            writer = getattr(SamplerState, name)
+
+            def advancing(state, *args, _writer=writer, _name=name):
+                before = state._clock
+                _writer(state, *args)
+                assert state._clock > before, f"{_name} left the clock at {before}"
+                writes[_name] += 1
+
+            monkeypatch.setattr(SamplerState, name, advancing)
+        data, hyper, config = self.case()
+        # audit after every iteration: each memo whose key is current must
+        # equal a fresh evaluation bit for bit
+        run(data, hyper, config)
+        assert set(visits) == {(move, k) for move in self.MOVES for k in ("hit", "miss")}
+        assert set(writes) == set(self.WRITERS)
+
+    def test_memos_change_no_draw(self, monkeypatch):
+        data, hyper, config = self.case()
+        memoised = run(data, hyper, config)
+
+        def forget(state):
+            n = state.n_motifs()
+            state._align_memo = [(-1, None)] * n
+            state._assign_memo = [(-1, None)] * n
+            state._width_memo = ((-1, ()), None, None, None)
+
+        for move in self.MOVES:
+            inner = getattr(sampler, move)
+
+            def fresh(state, arg, rng, _inner=inner):
+                forget(state)
+                _inner(state, arg, rng)
+
+            monkeypatch.setattr(sampler, move, fresh)
+        reference = run(data, hyper, config)
+        assert memoised.log_joint_series.tobytes() == reference.log_joint_series.tobytes()
+        assert np.array_equal(memoised.n_clusters_series, reference.n_clusters_series)
+        pairs = list(zip(memoised.snapshots, reference.snapshots)) + [(memoised.best, reference.best)]
+        assert len(memoised.snapshots) == len(reference.snapshots)
+        for got, want in pairs:
+            assert got.iteration == want.iteration and got.log_joint == want.log_joint
+            for field in ("z", "offsets", "widths"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))

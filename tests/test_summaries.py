@@ -114,6 +114,27 @@ class TestPairwise:
         assert len(lines) == 3
 
 
+def leaf_names(node):
+    if node.is_leaf():
+        return [node.name or ""]
+    out = []
+    for child in node.children:
+        out.extend(leaf_names(child))
+    return out
+
+
+def merge_heights(tree):
+    """Heights of all internal nodes, sorted ascending."""
+    out = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf():
+            out.append(node.height)
+            stack.extend(node.children)
+    return sorted(out)
+
+
 def loop_average_linkage(d, ids):
     """Reference: scan every live pair in index order for the smallest
     average distance (first one wins ties), merge it into a new group
@@ -146,15 +167,15 @@ class TestAverageLinkageTree:
     def test_two_leaves(self):
         tree = average_linkage_tree(np.array([[0, 0.4], [0.4, 0]]), ["a", "b"])
         assert tree.height == pytest.approx(0.4, abs=0)
-        assert sorted(tree.leaf_names()) == ["a", "b"]
+        assert sorted(leaf_names(tree)) == ["a", "b"]
         assert newick(tree) == "(a:0.4,b:0.4);"
 
     def test_three_leaves_hand_execution(self):
         d = np.array([[0, 0.1, 0.5], [0.1, 0, 0.5], [0.5, 0.5, 0]])
         tree = average_linkage_tree(d, ["a", "b", "c"])
-        assert tree.merge_heights() == pytest.approx([0.1, 0.5], abs=0)
+        assert merge_heights(tree) == pytest.approx([0.1, 0.5], abs=0)
         inner = [c for c in tree.children if not c.is_leaf()][0]
-        assert sorted(inner.leaf_names()) == ["a", "b"]
+        assert sorted(leaf_names(inner)) == ["a", "b"]
 
     def test_tie_breaks_to_smallest_pair(self):
         d = np.full((3, 3), 0.3)
@@ -162,7 +183,7 @@ class TestAverageLinkageTree:
         tree = average_linkage_tree(d, ["a", "b", "c"])
         inner = [c for c in tree.children if not c.is_leaf()][0]
         # all pairs tie at 0.3; (0, 1) must merge first
-        assert sorted(inner.leaf_names()) == ["a", "b"]
+        assert sorted(leaf_names(inner)) == ["a", "b"]
 
     def test_label_permutation_isomorphic(self):
         rng = np.random.default_rng(5)
@@ -171,11 +192,11 @@ class TestAverageLinkageTree:
         perm = rng.permutation(6)
         tree = average_linkage_tree(d, ids)
         tree_p = average_linkage_tree(d[np.ix_(perm, perm)], [ids[i] for i in perm])
-        assert tree.merge_heights() == pytest.approx(tree_p.merge_heights(), abs=1e-12)
+        assert merge_heights(tree) == pytest.approx(merge_heights(tree_p), abs=1e-12)
 
         def clades(node, acc):
             if not node.is_leaf():
-                acc.add(frozenset(node.leaf_names()))
+                acc.add(frozenset(leaf_names(node)))
                 for c in node.children:
                     clades(c, acc)
             return acc
@@ -188,7 +209,7 @@ class TestAverageLinkageTree:
             d = squareform(rng.uniform(0.01, 1.0, size=45))  # 10 leaves
             tree = average_linkage_tree(d, [f"m{i}" for i in range(10)])
             ref = linkage(squareform(d), method="average")
-            assert tree.merge_heights() == pytest.approx(
+            assert merge_heights(tree) == pytest.approx(
                 sorted(ref[:, 2]), abs=1e-9
             )
 
