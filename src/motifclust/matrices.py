@@ -23,12 +23,14 @@ def _as_count_array(counts) -> np.ndarray:
         raise ValueError(f"counts must be a (width, 4) table, got shape {arr.shape}")
     if arr.shape[0] < 1:
         raise ValueError("count matrix must have width >= 1")
-    if not np.issubdtype(arr.dtype, np.integer):
-        if not np.all(np.equal(np.mod(arr, 1), 0)):
-            raise ValueError("counts must be integers")
-        arr = arr.astype(np.int64)
-    else:
-        arr = arr.astype(np.int64, copy=True)
+    if arr.dtype.kind not in "biufO":
+        raise ValueError(f"counts must be numbers, not {arr.dtype}")
+    if arr.dtype.kind == "f" and not np.all(np.isfinite(arr)):
+        raise ValueError("counts must be finite")
+    if arr.dtype.kind not in "iu" and not np.all(np.equal(np.mod(arr, 1), 0)):
+        raise ValueError("counts must be integers")
+    # row-major whatever the layout given: the parsers hand over transposed views
+    arr = arr.astype(np.int64, order="C")
     if np.any(arr < 0):
         raise ValueError("counts must be non-negative")
     arr.flags.writeable = False

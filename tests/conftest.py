@@ -1,5 +1,6 @@
 """Shared fixtures: a hand-checked reference matrix and tiny builders."""
 
+import json
 import sys
 
 import numpy as np
@@ -22,6 +23,13 @@ C [  1  2 10  1  0  1  0  2 ]
 G [  1  1  0  0  0  2  1  1 ]
 T [  7  4  2 11  0  8  9  8 ]
 """
+
+
+def records_doc(*entries: dict) -> str:
+    """A motifclust-records JSON document; each entry's counts default to MA0011's."""
+    counts = [MA0011_ROWS[b] for b in "ACGT"]
+    return json.dumps({"format": "motifclust-records", "version": 1,
+                       "records": [{"counts": counts, **e} for e in entries]})
 
 
 def ma0011_counts() -> np.ndarray:

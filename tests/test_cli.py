@@ -23,6 +23,8 @@ from motifclust.sampler import RunConfig
 from motifclust.synthetic import planted_motif_groups
 from motifclust.traceio import load_trace
 
+from conftest import records_doc
+
 SUMMARY_FILES = [
     "pairwise.tsv",
     "tree.nwk",
@@ -318,14 +320,29 @@ class TestExitCodes:
             '{"format": "motifclust-records", "version": 1}',
             '{"format": "motifclust-records", "version": 1, "records": [{"counts": []}]}',
             '{"format": "motifclust-records", "version": 1, "records": [{"id": "a", "counts": null}]}',
+            records_doc({"id": 5}),
+            records_doc({"id": "a", "counts": [[1.5] * 8, [2] * 8, [3] * 8, [4] * 8]}),
+            records_doc({"id": "a"}, {"id": "a"}),
         ],
-        ids=["list", "no-records", "no-id", "null-counts"],
+        ids=["list", "no-records", "no-id", "null-counts", "numeric-id", "fractional-count",
+             "duplicate-id"],
     )
     def test_malformed_json_input(self, tmp_path, capsys, payload):
         bad = tmp_path / "bad.json"
         bad.write_text(payload)
-        assert entry(cluster_args(bad, tmp_path / "r", format="json")) == 2
+        out = tmp_path / "r"
+        assert entry(cluster_args(bad, out, format="json")) == 2
         assert "bad.json" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_transfac_count(self, tmp_path, capsys):
+        bad = tmp_path / "bad.transfac"
+        rows = "".join(f"{j:02d} 1 2 3 4\n" for j in range(1, 8))
+        bad.write_text(f"AC m1\nP0 A C G T\n{rows}08 1 inf 3 4\n//\n")
+        out = tmp_path / "r"
+        assert entry(cluster_args(bad, out)) == 2
+        assert "bad.transfac: line 1: record 'm1': counts must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_flag_error_leaves_no_out_dir(self, motif_file, tmp_path, capsys):
         out = tmp_path / "r"

@@ -36,6 +36,19 @@ def test_count_matrix_rejects_bad_shapes():
         CountMatrix(np.array([[0.5, 0.5, 0, 0]]))
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_count_matrix_refuses_non_finite_counts(value):
+    with pytest.raises(ValueError, match="^counts must be finite$"):
+        CountMatrix(np.array([[1.0, 2.0, value, 3.0]]))
+
+
+def test_count_matrix_counts_are_row_major():
+    counts = np.arange(12).reshape(4, 3).T
+    assert not counts.flags.c_contiguous
+    stored = CountMatrix(counts).counts
+    assert stored.flags.c_contiguous and stored.tolist() == counts.tolist()
+
+
 def test_count_matrix_is_immutable(ma0011):
     with pytest.raises(ValueError):
         ma0011.counts[0, 0] = 99

@@ -6,9 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from motifclust import (
+    BASES,
     CountMatrix,
     MotifParseError,
     MotifRecord,
+    load_records,
     parse_jaspar,
     parse_transfac,
     records_from_json,
@@ -17,7 +19,7 @@ from motifclust import (
     write_jaspar,
 )
 
-from conftest import MA0011_JASPAR, ma0011_counts
+from conftest import MA0011_JASPAR, ma0011_counts, records_doc
 
 MA0011_TRANSFAC = """\
 AC MA0011
@@ -94,6 +96,12 @@ def test_parse_jaspar_non_integer_token_names_line():
 def test_parse_jaspar_duplicate_id():
     text = MA0011_JASPAR + MA0011_JASPAR
     with pytest.raises(MotifParseError, match="duplicate motif id 'MA0011'"):
+        parse_jaspar(text)
+
+
+def test_parse_jaspar_negative_count_names_record_line():
+    text = ">a\nA [ 1 2 ]\nC [ 1 2 ]\nG [ 1 2 ]\nT [ 1 2 ]\n>x\nA [ 1 2 ]\nC [ 1 -2 ]\nG [ 1 2 ]\nT [ 1 2 ]\n"
+    with pytest.raises(MotifParseError, match="^line 6: record 'x': counts must be non-negative$"):
         parse_jaspar(text)
 
 
@@ -181,6 +189,59 @@ def test_parse_transfac_decimal_counts_round_half_up():
     assert any("half-up" in w for w in warnings)
 
 
+@pytest.mark.parametrize(
+    "token, refusal",
+    [("inf", "counts must be finite"), ("nan", "counts must be finite"),
+     ("-1", "counts must be non-negative")],
+)
+def test_parse_transfac_refusals_name_record_line(token, refusal):
+    text = f"XX\n//\nAC x\nP0 A C G T\n01 1 1 1 1\n02 1 {token} 1 1\n//\n"
+    with pytest.raises(MotifParseError, match=f"^line 3: record 'x': {refusal}$"):
+        parse_transfac(text)
+
+
+DISTRIBUTED_PREAMBLE = "VV  TRANSFAC MATRIX TABLE, Rel.3.2 26-06-1997\nXX\n//\n"
+
+
+def test_transfac_distributed_layout_is_sniffed_and_parsed(ma0011):
+    text = DISTRIBUTED_PREAMBLE + MA0011_TRANSFAC
+    assert sniff_format(text) == "transfac"
+    warnings: list[str] = []
+    records = parse_transfac(text, warnings=warnings)
+    assert [(r.id, r.matrix) for r in records] == [("MA0011", ma0011)]
+    assert warnings == ["skipped block at line 1: no P0 count section"]
+
+
+@st.composite
+def _transfac_cases(draw):
+    """Records, each with a P0 column order and whether to write counts as 3.0."""
+    records = [draw(_record_strategy(idx=i)) for i in range(draw(st.integers(0, 4)))]
+    return [(rec, draw(st.permutations(BASES)), draw(st.booleans())) for rec in records]
+
+
+def _transfac_text(cases):
+    """A distributed TRANSFAC file: the preamble, then one block per record."""
+    out = [DISTRIBUTED_PREAMBLE]
+    for rec, order, decimal in cases:
+        out.append(f"AC  {rec.id}\nXX\n")
+        if rec.name:
+            out.append(f"NA  {rec.name}\n")
+        out.append("P0  " + "  ".join(order) + "\n")
+        for j, row in enumerate(rec.matrix.counts, start=1):
+            vals = (f"{row[BASES.index(b)]}{'.0' if decimal else ''}" for b in order)
+            out.append(f"{j:02d}  " + "  ".join(vals) + "  N\n")
+        out.append("XX\n//\n")
+    return "".join(out)
+
+
+@given(_transfac_cases())
+def test_transfac_parse_property(cases):
+    warnings: list[str] = []
+    parsed = parse_transfac(_transfac_text(cases), warnings=warnings)
+    assert parsed == parse_jaspar(write_jaspar([rec for rec, _, _ in cases]))
+    assert warnings == ["skipped block at line 1: no P0 count section"]
+
+
 def test_parse_transfac_two_blocks_keep_order():
     second = MA0011_TRANSFAC.replace("MA0011", "MA0012")
     records = parse_transfac(MA0011_TRANSFAC + second)
@@ -202,6 +263,28 @@ def test_json_rejects_wrong_version(ma0011_record):
     text = records_to_json([ma0011_record]).replace('"version": 1', '"version": 99')
     with pytest.raises(MotifParseError, match="version"):
         records_from_json(text)
+
+
+@pytest.mark.parametrize(
+    "entries, refusal",
+    [
+        ([{"id": 5}], "records entry 0: motif id must be a non-empty string, not 5"),
+        ([{"id": ""}], "records entry 0: motif id must be a non-empty string, not ''"),
+        ([{"id": "a", "counts": [[1.5, 2], [3, 4], [5, 6], [7, 8]]}],
+         "records entry 0: record 'a': counts must be integers"),
+        ([{"id": "a"}, {"id": "b"}, {"id": "a"}],
+         r"records entry 2: duplicate motif id 'a' \(first seen at records entry 0\)"),
+    ],
+    ids=["numeric-id", "empty-id", "fractional-count", "duplicate-id"],
+)
+def test_records_from_json_refusals_name_entry(tmp_path, entries, refusal):
+    text = records_doc(*entries)
+    with pytest.raises(MotifParseError, match=f"^{refusal}$"):
+        records_from_json(text)
+    path = tmp_path / "records.json"
+    path.write_text(text)
+    with pytest.raises(MotifParseError, match=f"^{refusal}$"):
+        load_records(path)
 
 
 def test_transfac_records_round_trip_via_json(ma0011):
