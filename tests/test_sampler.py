@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import math
 
 import numpy as np
@@ -1085,3 +1086,41 @@ class TestMemoisedConditionals:
             assert got.iteration == want.iteration and got.log_joint == want.log_joint
             for field in ("z", "offsets", "widths"):
                 assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+def trajectory_digest(trace):
+    """sha256 of a run's discrete trajectory: the cluster-count series,
+    every snapshot's labels, offsets and widths, and the best iteration.
+    Log-joint floats stay out, since libm may change their last bits."""
+    h = hashlib.sha256()
+    h.update(np.asarray(trace.n_clusters_series, dtype="<i8").tobytes())
+    for snap in trace.snapshots:
+        for field in (snap.z, snap.offsets, snap.widths):
+            h.update(np.asarray(field, dtype="<i8").tobytes())
+    h.update(np.asarray(trace.best.iteration, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedTrajectory:
+    """Output identity as a checked property: these runs draw the same
+    uniforms in the same order and keep the same table layout as long as
+    the moves do not change.  A change that means to change the draws
+    updates the pins and says so in CHANGES.md."""
+
+    @pytest.mark.parametrize(
+        "prior, align_every, pin",
+        [
+            (PriorKind.DP, 10, "59a137b9d3ade0e559837d7e0f498b9e621062deef30b30667e759c5b1d31689"),
+            (PriorKind.UNIFORM, 1, "43dfe9484b089d2824e01b90c7ae136147dc0de71b6ed8fe7d70e3f9d7cd2efb"),
+        ],
+        ids=["dp", "uniform"],
+    )
+    def test_discrete_trajectory_is_pinned(self, prior, align_every, pin):
+        # weak groups: new clusters, joins, singleton relocations, width
+        # moves and compactions all occur in both runs
+        data = planted_motif_groups(
+            n_groups=3, members=4, core_width=6, length=10, sites=20, peak=0.6, seed=0
+        ).records
+        hyper = Hyperparameters(alpha=1.0, b=1.0, lam=6.0, wmin=4, prior_kind=prior)
+        trace = run(data, hyper, RunConfig(iterations=60, seed=3, align_every=align_every))
+        assert trajectory_digest(trace) == pin
