@@ -29,10 +29,13 @@ def _as_count_array(counts) -> np.ndarray:
         raise ValueError("counts must be finite")
     if arr.dtype.kind not in "iu" and not np.all(np.equal(np.mod(arr, 1), 0)):
         raise ValueError("counts must be integers")
-    # row-major whatever the layout given: the parsers hand over transposed views
-    arr = arr.astype(np.int64, order="C")
+    # range checks before the int64 cast, which would wrap
     if np.any(arr < 0):
         raise ValueError("counts must be non-negative")
+    if arr.dtype.kind in "fuO" and np.any(arr >= 2**63):
+        raise ValueError("count too large: counts must be below 2^63")
+    # row-major whatever the layout given: the parsers hand over transposed views
+    arr = arr.astype(np.int64, order="C")
     arr.flags.writeable = False
     return arr
 

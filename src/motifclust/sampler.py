@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .kernels import (
-    ClusterStats,
     GammaTables,
     Hyperparameters,
     PriorKind,
@@ -95,18 +94,17 @@ class RunTrace:
     best: Snapshot
 
 
-class _Cluster:
-    """One live cluster: its members, its statistics and the index of its
-    segment in the state's column table.  stats.core_counts is a (width, 4)
-    view of that segment."""
+class ClusterView(NamedTuple):
+    """One live cluster as SamplerState.clusters shows it; `stats` is the
+    view itself, so width and member_count read as on kernels.ClusterStats."""
 
-    __slots__ = ("cid", "stats", "members", "seg")
+    width: int
+    member_count: int
+    members: frozenset[int]
 
-    def __init__(self, cid: int, stats: ClusterStats, members: set[int]):
-        self.cid = cid
-        self.stats = stats
-        self.members = members
-        self.seg = -1
+    @property
+    def stats(self) -> ClusterView:
+        return self
 
 
 class SamplerState:
@@ -119,9 +117,15 @@ class SamplerState:
     appended at the end; the segment it leaves is retired (zero counts and
     marginals, prior -inf).  Before an append, the table is compacted if
     retired columns outnumber live ones; live columns never exceed the
-    summed motif lengths, so the table has a fixed capacity.  The segment
-    map holds start, width and log prior mass (log m under the DP, 0 under
-    the uniform prior, -inf once retired) of each segment, in table order.
+    summed motif lengths, so the table has a fixed capacity.
+
+    The rest of each cluster sits in per-segment arrays, in table order:
+    start, width, log prior mass (log m under the DP, 0 under the uniform
+    prior, -inf once retired), cluster id (-1 once retired), member count
+    and the stamp below.  `_seg_of` maps each live cluster id to its
+    segment, in ascending id order (ids only grow, and a relocated cluster
+    keeps its place).  Member lists come from `z`, grouped by one stable
+    argsort.  `clusters` is a read-only view of all this; no move reads it.
 
     The table is the only copy of the cluster counts: moves update it and
     nothing else, and the background (per-base counts outside the cores of
@@ -151,7 +155,6 @@ class SamplerState:
         "lengths",
         "z",
         "offsets",
-        "clusters",
         "updates",
         "_next_id",
         "_grand_total",
@@ -173,12 +176,16 @@ class SamplerState:
         "_arange",
         "_ncols",
         "_dead",
+        "_nseg",
         "_seg_start",
         "_seg_width",
         "_seg_prior",
-        "_seg_owner",
+        "_seg_cid",
+        "_seg_count",
         "_seg_stamp",
+        "_seg_of",
         "_clock",
+        "_views",
         "_align_memo",
         "_assign_memo",
         "_width_memo",
@@ -236,7 +243,6 @@ class SamplerState:
             self._new_prefix.append(np.concatenate([[0.0], np.cumsum(own)]))
         self.z = np.zeros(n, dtype=np.int64)
         self.offsets = np.zeros(n, dtype=np.int64)
-        self.clusters: dict[int, _Cluster] = {}
         self.updates = 0
         self._next_id = 0
         # live columns never exceed the summed lengths, retired ones never
@@ -258,13 +264,17 @@ class SamplerState:
             self._wcdf[top] = _cdf(lw)
         self._ncols = 0
         self._dead = 0
+        self._nseg = 0
         segments = n + int(self.lengths.sum()) + 1
         self._seg_start = np.zeros(segments, dtype=np.int64)
         self._seg_width = np.zeros(segments, dtype=np.int64)
         self._seg_prior = np.zeros(segments)
-        self._seg_owner: list[_Cluster | None] = []
+        self._seg_cid = np.zeros(segments, dtype=np.int64)
+        self._seg_count = np.zeros(segments, dtype=np.int64)
         self._seg_stamp = np.zeros(segments, dtype=np.int64)
+        self._seg_of: dict[int, int] = {}
         self._clock = 0
+        self._views: tuple[int, Mapping[int, ClusterView]] = (-1, {})
         # (key, CDF) per motif, and (key, rows, CDF, sums) of the width sweep;
         # key -1 never matches
         self._align_memo: list[tuple[int, np.ndarray | None]] = [(-1, None)] * n
@@ -275,6 +285,22 @@ class SamplerState:
 
     def n_motifs(self) -> int:
         return len(self.data)
+
+    @property
+    def clusters(self) -> Mapping[int, ClusterView]:
+        """Read-only view of the live clusters by ascending id, built from the
+        arrays and z; until the next write each id reads as one ClusterView."""
+        clock, views = self._views
+        if clock != self._clock:
+            _, members, sizes = self._room(list(self._seg_of))
+            members, ends = members.tolist(), np.add.accumulate(sizes).tolist()
+            widths = self._seg_width[list(self._seg_of.values())].tolist()
+            views = MappingProxyType({
+                cid: ClusterView(w, end - start, frozenset(members[start:end]))
+                for cid, w, start, end in zip(self._seg_of, widths, [0] + ends, ends)
+            })
+            self._views = (self._clock, views)
+        return views
 
     def core(self, i: int, offset: int, width: int) -> np.ndarray:
         start = self._base[i] + offset
@@ -287,16 +313,17 @@ class SamplerState:
         zeros; those past _ncols may hold stale data after a compaction)."""
         return self._grand_total - np.add.reduce(self._cols[:4, : self._ncols], axis=1)
 
-    def core_room(self, cls: Sequence[_Cluster]) -> tuple[np.ndarray, list[int], list[int]]:
-        """Widest core every member of each cluster in cls can hold at its
-        current offset, with the members grouped by cluster in that order
-        and the size of each group."""
-        # Python lists: on a handful of clusters numpy's per-call overhead
-        # would dominate
-        members = [i for cl in cls for i in cl.members]
-        sizes = [cl.stats.member_count for cl in cls]
+    def _room(self, cids: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Widest core every member of each listed cluster can hold at its
+        offset, and the members grouped by cluster in list order, by size."""
+        order = self.z.argsort(kind="stable")
+        labels = self.z[order]
+        first = labels.searchsorted(cids)
+        sizes = labels.searchsorted(cids, side="right") - first
+        ends = np.add.accumulate(sizes)
+        members = order[np.repeat(first + sizes - ends, sizes) + np.arange(sizes.sum())]
         room = (self.lengths - self.offsets)[members]
-        return np.minimum.reduceat(room, list(accumulate(sizes, initial=0))[:-1]), members, sizes
+        return np.minimum.reduceat(room, ends - sizes), members, sizes
 
     def _log_mass(self, member_count: int) -> float:
         return math.log(member_count) if self._dp else 0.0
@@ -315,71 +342,69 @@ class SamplerState:
         op(span, cols, out=span)
         self._fcol[start:end] = self.tables.column_marginals(span)
 
-    def _place(self, cls: list[_Cluster], cols: np.ndarray) -> None:
-        """Append one segment per cluster in cls, in order, holding `cols`:
-        their column stacks side by side, each cluster's stats.width wide."""
+    def _place(self, cids: list[int], counts: list[int], widths: list[int], cols: np.ndarray) -> None:
+        """Append one segment per cluster id in cids, in order, holding their
+        column stacks `cols` side by side, with these widths and counts."""
         if self._dead > self._ncols - self._dead:
             self._compact()
         start, end = self._ncols, self._ncols + cols.shape[1]
         self._cols[:, start:end] = cols
         self._fcol[start:end] = self.tables.column_marginals(cols)
-        for seg, cl in enumerate(cls, len(self._seg_owner)):
+        for seg, (cid, count, width) in enumerate(zip(cids, counts, widths), self._nseg):
             self._clock += 1
             self._seg_stamp[seg] = self._clock
-            width = cl.stats.width
             self._pos[start : start + width] = self._arange[:width]
             self._seg_start[seg] = start
             self._seg_width[seg] = width
-            self._seg_prior[seg] = self._log_mass(cl.stats.member_count)
-            cl.seg = seg
-            cl.stats.core_counts = self._cols[:4, start : start + width].T
+            self._seg_prior[seg] = self._log_mass(count)
+            self._seg_cid[seg] = cid
+            self._seg_count[seg] = count
+            self._seg_of[cid] = seg
             start += width
-        self._seg_owner.extend(cls)
+        self._nseg += len(cids)
         self._ncols = end
 
-    def _retire(self, cl: _Cluster) -> None:
-        """Empty cluster cl's segment (zero counts and marginals) and mark
-        it retired."""
+    def _retire(self, seg: int) -> None:
+        """Empty segment seg (zero counts and marginals) and retire it."""
         self._clock += 1
-        start, width = int(self._seg_start[cl.seg]), cl.stats.width
+        start, width = int(self._seg_start[seg]), int(self._seg_width[seg])
         self._cols[:, start : start + width] = self._empty
         self._fcol[start : start + width] = 0.0
-        self._seg_prior[cl.seg] = -np.inf
-        self._seg_owner[cl.seg] = None
+        self._seg_prior[seg] = -np.inf
+        self._seg_cid[seg] = -1
+        self._seg_count[seg] = 0
         self._dead += width
 
-    def _relocate(self, cls: list[_Cluster], widths: list[int], cols: np.ndarray) -> None:
-        """Move each cluster in cls to a new segment of the matching width,
-        appended in order; `cols` holds their new column stacks side by side."""
-        for cl, width in zip(cls, widths):
-            self._retire(cl)
-            cl.stats.width = width
-        self._place(cls, cols)
+    def _relocate(self, segs: list[int], widths: list[int], cols: np.ndarray) -> None:
+        """Move the cluster of each segment in segs to a new segment of the
+        matching width, appended in order; `cols` holds their new column
+        stacks side by side."""
+        cids = [int(self._seg_cid[seg]) for seg in segs]
+        counts = [int(self._seg_count[seg]) for seg in segs]
+        for seg in segs:
+            self._retire(seg)
+        self._place(cids, counts, widths, cols)
 
     def _compact(self) -> None:
         """Drop retired segments, keeping the live ones in table order."""
         self._clock += 1
-        k, n = len(self._seg_owner), self._ncols
-        alive = self._seg_prior[:k] > -np.inf
+        k, n = self._nseg, self._ncols
+        alive = self._seg_cid[:k] >= 0
         keep = np.repeat(alive, self._seg_width[:k])
         m = int(keep.sum())
         self._cols[:, :m] = self._cols[:, :n][:, keep]
         self._fcol[:m] = self._fcol[:n][keep]
         self._pos[:m] = self._pos[:n][keep]
-        widths = self._seg_width[:k][alive]
-        live = len(widths)
-        self._seg_prior[:live] = self._seg_prior[:k][alive]
-        self._seg_stamp[:live] = self._seg_stamp[:k][alive]
-        self._seg_width[:live] = widths
+        live = int(alive.sum())
+        for arr in (self._seg_width, self._seg_prior, self._seg_cid, self._seg_count, self._seg_stamp):
+            arr[:live] = arr[:k][alive]
+        widths = self._seg_width[:live]
         self._seg_start[:live] = np.cumsum(widths) - widths
-        self._seg_owner = [cl for cl in self._seg_owner if cl is not None]
-        self._ncols, self._dead = m, 0
-        for seg, cl in enumerate(self._seg_owner):
-            start = int(self._seg_start[seg])
-            cl.seg = seg
-            cl.stats.core_counts = self._cols[:4, start : start + cl.stats.width].T
+        # existing keys keep their place in _seg_of
+        self._seg_of.update(zip(self._seg_cid[:live].tolist(), range(live)))
+        self._nseg, self._ncols, self._dead = live, m, 0
 
-    def _core_stack(self, members: set[int], width: int) -> np.ndarray:
+    def _core_stack(self, members: Sequence[int], width: int) -> np.ndarray:
         """Column stack, as the table holds it, of these motifs' cores
         summed, each `width` columns wide at its current offset."""
         starts = [self._base[i] + int(self.offsets[i]) for i in members]
@@ -389,111 +414,88 @@ class SamplerState:
             cols += self._flat[:, at : at + width]
         return cols
 
-    def _new_cluster(self, members: set[int], width: int) -> int:
+    def _new_cluster(self, members: Sequence[int], width: int) -> None:
         """Open a cluster of these members, each one's core `width` columns
         wide at its current offset."""
         cols = self._core_stack(members, width)
-        cid = self._next_id
+        self._place([self._next_id], [len(members)], [width], cols)
+        self.z[members] = self._next_id
         self._next_id += 1
-        stats = ClusterStats(width=width, core_counts=cols[:4].T, member_count=len(members))
-        cl = _Cluster(cid, stats, members)
-        self._place([cl], cols)
-        self.clusters[cid] = cl
-        for i in members:
-            self.z[i] = cid
-        return cid
+
+    def _member(self, i: int, seg: int, op: np.ufunc) -> None:
+        """Add (op np.add) or remove (np.subtract) motif i's core, at its
+        current offset, in segment seg, and count the member."""
+        at = self._base[i] + int(self.offsets[i])
+        self._update(seg, op, self._flat[:, at : at + int(self._seg_width[seg])])
+        self._seg_count[seg] = count = int(op(self._seg_count[seg], 1))
+        self._seg_prior[seg] = self._log_mass(count)
 
     def attach(self, i: int, cid: int) -> None:
         """Add motif i's core (at its current offset) to cluster cid."""
-        cl = self.clusters[cid]
-        w = cl.stats.width
-        at = self._base[i] + int(self.offsets[i])
-        self._update(cl.seg, np.add, self._flat[:, at : at + w])
-        cl.stats.member_count += 1
-        cl.members.add(i)
-        self._seg_prior[cl.seg] = self._log_mass(cl.stats.member_count)
+        self._member(i, self._seg_of[cid], np.add)
         self.z[i] = cid
 
     def detach(self, i: int) -> None:
         """Remove motif i from its cluster.  Emptied clusters are retired,
         their ids never reused."""
         cid = int(self.z[i])
-        cl = self.clusters[cid]
-        cl.stats.member_count -= 1
-        cl.members.discard(i)
-        if cl.stats.member_count == 0:
-            self._retire(cl)
-            del self.clusters[cid]
+        seg = self._seg_of[cid]
+        if self._seg_count[seg] > 1:
+            self._member(i, seg, np.subtract)
         else:
-            w = cl.stats.width
-            at = self._base[i] + int(self.offsets[i])
-            self._update(cl.seg, np.subtract, self._flat[:, at : at + w])
-            self._seg_prior[cl.seg] = self._log_mass(cl.stats.member_count)
+            self._retire(seg)
+            del self._seg_of[cid]
 
     def audit(self) -> None:
-        """Rebuild all sufficient statistics and the column table from
-        scratch; exact match required.  Live segments are rebuilt and
-        retired ones must be empty, which also checks the background."""
-        seen: set[int] = set()
-        for i in range(self.n_motifs()):
-            cid = int(self.z[i])
-            if cid not in self.clusters:
-                raise AssertionError(f"motif {i} assigned to unknown cluster {cid}")
-            seen.add(cid)
-        if seen != set(self.clusters):
-            raise AssertionError("clusters without members present")
-        tables = self.tables
-        for cid, cl in self.clusters.items():
-            members = {i for i in range(self.n_motifs()) if int(self.z[i]) == cid}
-            if members != cl.members:
-                raise AssertionError(f"cluster {cid} member set out of sync")
-            if cl.stats.member_count != len(members):
-                raise AssertionError(f"cluster {cid} member count out of sync")
-            w = cl.stats.width
-            rebuilt = np.zeros((w, 4), dtype=np.int64)
-            for i in members:
-                o = int(self.offsets[i])
-                if o < 0 or o + w > int(self.lengths[i]):
-                    raise AssertionError(f"motif {i} core outside matrix bounds")
-                rebuilt += self.core(i, o, w)
-            if not (0 <= cl.seg < len(self._seg_owner)) or self._seg_owner[cl.seg] is not cl:
-                raise AssertionError(f"cluster {cid} segment map out of sync")
-            start = int(self._seg_start[cl.seg])
-            segment = self._cols[:, start : start + w]
-            expected = tables.stack(rebuilt)
-            if int(self._seg_width[cl.seg]) != w or not np.array_equal(segment, expected):
-                raise AssertionError(f"cluster {cid} table columns out of sync")
-            if not np.array_equal(self._fcol[start : start + w], tables.column_marginals(expected)):
-                raise AssertionError(f"cluster {cid} column marginals out of sync")
-            if not np.array_equal(self._pos[start : start + w], np.arange(w)):
-                raise AssertionError(f"cluster {cid} column positions out of sync")
-            if self._seg_prior[cl.seg] != self._log_mass(len(members)):
-                raise AssertionError(f"cluster {cid} prior mass out of sync")
-            view = cl.stats.core_counts
-            if not (np.shares_memory(view, self._cols) and np.array_equal(view, rebuilt)):
-                raise AssertionError(f"cluster {cid} core counts out of sync")
+        """Rebuild the cluster map, the per-segment arrays and the column
+        table from z and the offsets; exact match required.  Live segments
+        are rebuilt and retired ones must be empty, which also checks the
+        background."""
+        k = self._nseg
+        cids, segs = list(self._seg_of), list(self._seg_of.values())
+        if cids != sorted(set(self.z.tolist())) or not all(0 <= seg < k for seg in segs):
+            raise AssertionError("cluster map out of sync with the labels")
+        _, members, sizes = self._room(cids)
+        owner, count, prior = np.full(k, -1), np.zeros(k, dtype=np.int64), np.full(k, -np.inf)
+        owner[segs], count[segs] = cids, sizes
+        prior[segs] = [self._log_mass(m) for m in sizes.tolist()]
+        for arr, rebuilt in ((self._seg_cid, owner), (self._seg_count, count), (self._seg_prior, prior)):
+            if not np.array_equal(arr[:k], rebuilt):
+                raise AssertionError("segment owners, member counts or prior masses out of sync")
+        groups = dict(zip(cids, np.split(members, np.add.accumulate(sizes)[:-1])))
         start = dead = 0
-        for seg, owner in enumerate(self._seg_owner):
-            w = int(self._seg_width[seg])
+        for seg in range(k):
+            w, cid = int(self._seg_width[seg]), int(self._seg_cid[seg])
             if int(self._seg_start[seg]) != start:
                 raise AssertionError(f"segment {seg} start out of sync")
-            if owner is None:
-                if (
-                    self._seg_prior[seg] != -np.inf
-                    or np.any(self._cols[:, start : start + w] != self._empty)
-                    or np.any(self._fcol[start : start + w] != 0.0)
-                ):
-                    raise AssertionError(f"retired segment {seg} not cleared")
+            if cid < 0:
+                expected, marginals = np.broadcast_to(self._empty, (5, w)), 0.0
                 dead += w
+            else:
+                rebuilt = np.zeros((w, 4), dtype=np.int64)
+                for i in groups[cid].tolist():
+                    o = int(self.offsets[i])
+                    if o < 0 or o + w > int(self.lengths[i]):
+                        raise AssertionError(f"motif {i} core outside matrix bounds")
+                    rebuilt += self.core(i, o, w)
+                expected = self.tables.stack(rebuilt)
+                marginals = self.tables.column_marginals(expected)
+            # a retired segment keeps the positions it was placed with
+            if not (
+                np.array_equal(self._cols[:, start : start + w], expected)
+                and np.all(self._fcol[start : start + w] == marginals)
+                and np.array_equal(self._pos[start : start + w], np.arange(w))
+            ):
+                raise AssertionError(f"segment {seg} columns out of sync")
             start += w
         if start != self._ncols or dead != self._dead:
             raise AssertionError("column table extent out of sync")
-        stamps = self._seg_stamp[: len(self._seg_owner)]
+        stamps = self._seg_stamp[:k]
         if len(np.unique(stamps)) != len(stamps) or np.any(stamps > self._clock):
             raise AssertionError("segment stamps out of sync")
         # a memo whose key is current must be what a fresh evaluation gives
         for i, (key, cum) in enumerate(self._align_memo):
-            seg = self.clusters[int(self.z[i])].seg
+            seg = self._seg_of[int(self.z[i])]
             if key == self._seg_stamp[seg] and not np.array_equal(
                 cum, _cdf(_alignment_weights(self, i))
             ):
@@ -503,7 +505,7 @@ class SamplerState:
                 raise AssertionError(f"motif {i} assignment memo stale")
         (clock, cids), *memo = self._width_memo
         if clock == self._clock:
-            rows, logw, sums = _width_weights(self, [self.clusters[cid] for cid in cids])
+            rows, logw, sums = _width_weights(self, cids)
             fresh = (rows, None if logw is None else _cdf(logw), sums)
             if not all(np.array_equal(a, b) for a, b in zip(memo, fresh)):
                 raise AssertionError("width memo stale")
@@ -517,9 +519,10 @@ class SamplerState:
         # retired columns hold f = 0
         lp += float(np.add.reduce(self._fcol[: self._ncols]))
         lp += (self._ncols - self._dead) * self.tables.log_const
-        cls = list(self.clusters.values())
-        widths = [cl.stats.width for cl in cls]
-        lp += float(np.add.reduce(self._wprior[self.core_room(cls)[0], widths]))
+        # per cluster, in ascending cid order
+        top = self._room(list(self._seg_of))[0]
+        widths = self._seg_width[list(self._seg_of.values())]
+        lp += float(np.add.reduce(self._wprior[top, widths]))
         return lp
 
     def snapshot(self, iteration: int, log_joint: float) -> Snapshot:
@@ -531,7 +534,7 @@ class SamplerState:
             log_joint=log_joint,
             z=np.array([relabel[lab] for lab in labels], dtype=np.int64),
             offsets=self.offsets.copy(),
-            widths=np.array([self.clusters[lab].stats.width for lab in relabel], dtype=np.int64),
+            widths=self._seg_width[[self._seg_of[lab] for lab in relabel]],
         )
 
 
@@ -551,7 +554,7 @@ def init_state(
     for i in range(state.n_motifs()):
         w = min(target_w, int(state.lengths[i]))
         state.offsets[i] = rng.integers(0, int(state.lengths[i]) - w + 1)
-        state._new_cluster({i}, w)
+        state._new_cluster([i], w)
     return state
 
 
@@ -574,16 +577,10 @@ def _draw(cum: np.ndarray, rng: np.random.Generator) -> int:
     return int(cum.searchsorted(rng.random() * cum[-1], side="right"))
 
 
-def _categorical(logw: np.ndarray, rng: np.random.Generator) -> int:
-    """One draw from the log weights: what every memoised or tabled draw
-    reproduces."""
-    return _draw(_cdf(logw), rng)
-
-
 def _new_width(state: SamplerState, length: int, rng: np.random.Generator) -> int:
-    """Width of a new cluster on a motif of this length: the draw
-    `wmin + _categorical(log_width_probs(hyper, length), rng)`, read from the
-    CDF built at state set-up."""
+    """Width of a new cluster on a motif of this length, drawn from the
+    width prior truncated at the length (log_width_probs) with one uniform,
+    through the CDF built at state set-up."""
     return state.hyper.wmin + _draw(state._wcdf[length], rng)
 
 
@@ -593,10 +590,10 @@ def _assignment_weights(state: SamplerState, i: int) -> np.ndarray:
     opening a new cluster scored on its current core extent.  Retired
     segments, clusters too wide for the motif's offset, and the motif's own
     cluster when it is the only member get weight -inf."""
-    cl = state.clusters[int(state.z[i])]
-    start, w = int(state._seg_start[cl.seg]), cl.stats.width
+    seg = state._seg_of[int(state.z[i])]
+    start, w = int(state._seg_start[seg]), int(state._seg_width[seg])
     o = int(state.offsets[i])
-    n, k = state._ncols, len(state._seg_owner)
+    n, k = state._ncols, state._nseg
     bg = state._bg[i][o]
     # the motif's columns against every table column; subtracted on its own
     # segment, so that segment evaluates the other members without it
@@ -609,10 +606,10 @@ def _assignment_weights(state: SamplerState, i: int) -> np.ndarray:
     logw = np.empty(k + 1)
     joins = logw[:k]
     np.add.reduceat(gain, state._seg_start[:k], out=joins)
-    leave = logw[cl.seg]
+    leave = logw[seg]
     np.add(joins, state._seg_prior[:k] - bg[state._seg_width[:k]], out=joins)
-    others = cl.stats.member_count - 1
-    logw[cl.seg] = -leave + state._log_mass(others) - bg[w] if others else -np.inf
+    others = int(state._seg_count[seg]) - 1
+    logw[seg] = -leave + state._log_mass(others) - bg[w] if others else -np.inf
     new_prefix = state._new_prefix[i]
     logw[k] = state._log_b + new_prefix[o + w] - new_prefix[o]
     return logw
@@ -633,29 +630,29 @@ def resample_assignment(state: SamplerState, i: int, rng: np.random.Generator) -
     mutation clock: when nothing in the table has changed since the motif's
     last visit, the draw reads the stored CDF.
     """
-    cl = state.clusters[int(state.z[i])]
+    seg = state._seg_of[int(state.z[i])]
     key, cum = state._assign_memo[i]
     if key != state._clock:
         cum = _cdf(_assignment_weights(state, i))
         state._assign_memo[i] = (state._clock, cum)
     choice = _draw(cum, rng)
-    if choice < len(state._seg_owner):
-        if choice != cl.seg:
+    if choice < state._nseg:
+        if choice != seg:
             state.detach(i)
-            state.attach(i, state._seg_owner[choice].cid)
+            state.attach(i, int(state._seg_cid[choice]))
     else:
         length = int(state.lengths[i])
         w_new = _new_width(state, length, rng)
         o = min(int(state.offsets[i]), length - w_new)
-        if cl.stats.member_count > 1:
+        if state._seg_count[seg] > 1:
             state.detach(i)
             state.offsets[i] = o
-            state._new_cluster({i}, w_new)
-        elif w_new != cl.stats.width:
+            state._new_cluster([i], w_new)
+        elif w_new != state._seg_width[seg]:
             # a singleton stays alone only through this option, so it keeps
             # its id and segment, moved only when its width is redrawn
             state.offsets[i] = o
-            state._relocate([cl], [w_new], state._core_stack({i}, w_new))
+            state._relocate([seg], [w_new], state._core_stack([i], w_new))
     state.updates += 1
 
 
@@ -665,8 +662,8 @@ def _alignment_weights(state: SamplerState, i: int) -> np.ndarray:
     singletons, the fresh-cluster marginal) minus the background term of
     the columns it displaces.  Scores all L - w + 1 offsets at once."""
     tables = state.tables
-    cl = state.clusters[int(state.z[i])]
-    start, w = int(state._seg_start[cl.seg]), cl.stats.width
+    seg = state._seg_of[int(state.z[i])]
+    start, w = int(state._seg_start[seg]), int(state._seg_width[seg])
     length = int(state.lengths[i])
     base = state._base[i]
     at = base + int(state.offsets[i])
@@ -689,30 +686,30 @@ def resample_alignment(state: SamplerState, i: int, rng: np.random.Generator) ->
     (including the motif's own moves): while the stamp holds, the draw reads
     the stored CDF.
     """
-    cl = state.clusters[int(state.z[i])]
-    if int(state.lengths[i]) > cl.stats.width:
+    seg = state._seg_of[int(state.z[i])]
+    w = int(state._seg_width[seg])
+    if int(state.lengths[i]) > w:
         o_old = int(state.offsets[i])
-        stamp = int(state._seg_stamp[cl.seg])
+        stamp = int(state._seg_stamp[seg])
         key, cum = state._align_memo[i]
         if key != stamp:
             cum = _cdf(_alignment_weights(state, i))
             state._align_memo[i] = (stamp, cum)
         o_new = _draw(cum, rng)
         if o_new != o_old:
-            w = cl.stats.width
             motif = state._flat[:, state._base[i] :]
-            state._update(cl.seg, np.add, motif[:, o_new : o_new + w] - motif[:, o_old : o_old + w])
+            state._update(seg, np.add, motif[:, o_new : o_new + w] - motif[:, o_old : o_old + w])
             state.offsets[i] = o_new
     state.updates += 1
 
 
 def _width_weights(
-    state: SamplerState, cls: Sequence[_Cluster]
+    state: SamplerState, cids: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """Unnormalized log weights of the core widths of the clusters in cls
+    """Unnormalized log weights of the core widths of the listed clusters
     that can take more than one width.
 
-    Returns the indices into cls of those clusters, their log weights (row
+    Returns the indices into cids of those clusters, their log weights (row
     per cluster, column w - wmin, -inf past the widest core every member
     can hold) and their members' summed column stacks (5, rows, columns),
     whose first w columns are the cluster's core at width w.  Weight of
@@ -722,13 +719,13 @@ def _width_weights(
     """
     tables = state.tables
     wmin = state.hyper.wmin
-    top, members, sizes = state.core_room(cls)
+    top, members, sizes = state._room(cids)
     free = top > wmin
     rows = free.nonzero()[0]
     if not len(rows):
         return rows, None, None
-    members = np.array(members)[np.repeat(free, sizes)]
-    sizes, top = np.array(sizes)[rows], top[rows]
+    members = members[np.repeat(free, sizes)]
+    sizes, top = sizes[rows], top[rows]
     span = int(top.max())
     windows = state._win[:, state._base_arr[members] + state.offsets[members], :span]
     sums = np.add.reduceat(windows, np.add.accumulate(sizes) - sizes, axis=1)
@@ -752,13 +749,12 @@ def resample_width(state: SamplerState, cids: Sequence[int], rng: np.random.Gene
     listed clusters: a sweep that finds the table as the last one left it
     draws from the stored CDFs.
     """
-    cls = [state.clusters[cid] for cid in cids]
-    state.updates += len(cls)
+    state.updates += len(cids)
     key = (state._clock, tuple(cids))
     if state._width_memo[0] == key:
         _, rows, cum, sums = state._width_memo
     else:
-        rows, logw, sums = _width_weights(state, cls)
+        rows, logw, sums = _width_weights(state, cids)
         cum = None if logw is None else _cdf(logw)
         state._width_memo = (key, rows, cum, sums)
     if cum is None:
@@ -766,14 +762,14 @@ def resample_width(state: SamplerState, cids: Sequence[int], rng: np.random.Gene
     # row-wise inverse CDF, searchsorted(side="right") as in _draw
     u = rng.random(len(rows)) * cum[:, -1]
     w_new = state.hyper.wmin + np.add.reduce(cum <= u[:, None], axis=1)
-    w_old = np.array([cls[r].stats.width for r in rows.tolist()])
-    moved = (w_new != w_old).nonzero()[0]
+    segs = np.array([state._seg_of[cids[r]] for r in rows.tolist()])
+    moved = (w_new != state._seg_width[segs]).nonzero()[0]
     if not len(moved):
         return
     # block[:, k, :w] is moved cluster k's core at width w
     block = sums[:, moved]
     new = state._arange[: block.shape[2]] < w_new[moved, None]
-    state._relocate([cls[r] for r in rows[moved].tolist()], w_new[moved].tolist(), block[:, new])
+    state._relocate(segs[moved].tolist(), w_new[moved].tolist(), block[:, new])
 
 
 # ------------------------------------------------------------------ run loop
@@ -799,10 +795,10 @@ def run(data: Sequence[MotifRecord], hyper: Hyperparameters, config: RunConfig) 
         if config.align_every is not None and t % config.align_every == 0:
             for i in range(n):
                 resample_alignment(state, i, rng)
-        resample_width(state, sorted(state.clusters), rng)
+        resample_width(state, list(state._seg_of), rng)
         logp = state.log_joint_fast()
         log_joint_series[t - 1] = logp
-        n_clusters_series[t - 1] = len(state.clusters)
+        n_clusters_series[t - 1] = len(state._seg_of)
         post_burn = t > config.burn_in
         record = post_burn and (t - config.burn_in - 1) % config.thin == 0
         if record or (post_burn and logp > best.log_joint):
@@ -836,8 +832,8 @@ def state_from_snapshot(
     state = SamplerState(data, hyper)
     state.offsets = np.asarray(snap.offsets, dtype=np.int64).copy()
     for lab in range(snap.widths.shape[0]):
-        members = {i for i in range(state.n_motifs()) if int(snap.z[i]) == lab}
-        if not members:
+        members = np.flatnonzero(np.asarray(snap.z) == lab)
+        if not len(members):
             raise ValueError(f"snapshot cluster {lab} has no members")
         state._new_cluster(members, int(snap.widths[lab]))
     state.audit()
@@ -857,8 +853,8 @@ def membership_probability(
     probs = np.exp(logw - logw.max())
     probs /= probs.sum()
     out: dict[int | None, float] = {
-        cl.cid: float(p)
-        for cl, lw, p in zip(state._seg_owner, logw, probs)
+        cid: float(p)
+        for cid, lw, p in zip(state._seg_cid[: state._nseg].tolist(), logw, probs)
         if lw > -np.inf
     }
     out[None] = float(probs[-1])
@@ -869,6 +865,6 @@ def own_cluster_probability(state: SamplerState, i: int) -> float:
     """Probability the conditional reassigns motif i to where it sits now
     (for singletons: the probability of standing alone)."""
     cid = int(state.z[i])
-    solo = state.clusters[cid].stats.member_count == 1
+    solo = state._seg_count[state._seg_of[cid]] == 1
     probs = membership_probability(state, i)
     return probs[None] if solo else probs[cid]

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import Hyperparameters, cluster_strength
+from .kernels import ClusterStats, Hyperparameters, cluster_strength
 from .matrices import (
     CountMatrix,
     MotifRecord,
@@ -247,9 +247,9 @@ def best_partition_report(
         members = sorted(cl.members)
         width = cl.stats.width
         cores = [state.core(i, int(state.offsets[i]), width) for i in members]
-        strength = cluster_strength(cores, cl.stats, hyper)
-        # copy: the summed counts are a view of the sampler's column table
-        super_matrix = CountMatrix(cl.stats.core_counts.copy())
+        stats = ClusterStats(width, np.sum(cores, axis=0), len(members))
+        strength = cluster_strength(cores, stats, hyper)
+        super_matrix = CountMatrix(stats.core_counts)
         probs = tuple(own_cluster_probability(state, i) for i in members)
         reports.append(
             ClusterReport(

@@ -42,6 +42,13 @@ def test_count_matrix_refuses_non_finite_counts(value):
         CountMatrix(np.array([[1.0, 2.0, value, 3.0]]))
 
 
+def test_count_matrix_range_ends_at_int64_max():
+    assert CountMatrix(np.array([[2**63 - 1, 0, 0, 0]], dtype=np.uint64)).counts[0, 0] == 2**63 - 1
+    for counts in (np.array([[2**63, 0, 0, 0]], dtype=np.uint64), [[2**64, 0, 0, 0]]):
+        with pytest.raises(ValueError, match="^count too large"):
+            CountMatrix(counts)
+
+
 def test_count_matrix_counts_are_row_major():
     counts = np.arange(12).reshape(4, 3).T
     assert not counts.flags.c_contiguous

@@ -200,6 +200,24 @@ def test_parse_transfac_refusals_name_record_line(token, refusal):
         parse_transfac(text)
 
 
+@pytest.mark.parametrize(
+    "parse, text, where",
+    [
+        (parse_transfac, "AC x\nP0 A C G T\n01 1 1 1e300 1\n//\n", "line 1"),
+        (parse_transfac, "AC x\nP0 A C G T\n01 1 1 1e19 1\n//\n", "line 1"),
+        (parse_jaspar, ">x\nA [ 1 ]\nC [ 1 ]\nG [ 10000000000000000000 ]\nT [ 1 ]\n", "line 1"),
+        (parse_jaspar, ">x\nA [ 1 ]\nC [ 1 ]\nG [ 100000000000000000000 ]\nT [ 1 ]\n", "line 1"),
+        (records_from_json, records_doc({"id": "x", "counts": [[1], [1], [1e19], [1]]}),
+         "records entry 0"),
+    ],
+    ids=["transfac-1e300", "transfac-1e19", "jaspar-1e19", "jaspar-1e20", "json-1e19"],
+)
+def test_counts_of_2_63_or_more_are_refused_before_the_int64_cast(parse, text, where):
+    # refused as too large, not wrapped by the cast into a negative count
+    with pytest.raises(MotifParseError, match=rf"^{where}: record 'x': count too large"):
+        parse(text)
+
+
 DISTRIBUTED_PREAMBLE = "VV  TRANSFAC MATRIX TABLE, Rel.3.2 26-06-1997\nXX\n//\n"
 
 

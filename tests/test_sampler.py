@@ -27,7 +27,6 @@ from motifclust.sampler import (
     SamplerState,
     _alignment_weights,
     _assignment_weights,
-    _categorical,
     _new_width,
     _width_weights,
     Snapshot,
@@ -41,6 +40,21 @@ from motifclust.sampler import (
     state_from_snapshot,
 )
 from motifclust.synthetic import planted_motif_groups, shifted_core_collection
+
+
+def _categorical(logw, rng):
+    """Reference draw from log weights: inverse CDF with one uniform, which
+    every memoised or tabled draw of the sampler reproduces."""
+    cum = np.cumsum(np.exp(logw - np.max(logw)))
+    return int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+
+
+def core_counts(state, cid):
+    """Cluster cid's summed core counts (width x 4), read from the column
+    table."""
+    seg = state._seg_of[cid]
+    start = int(state._seg_start[seg])
+    return state._cols[:4, start : start + int(state._seg_width[seg])].T
 
 
 def rec(rec_id, rows):
@@ -121,9 +135,9 @@ class TestMembershipConditional:
         stats_before = {
             cid: (
                 cl.stats.width,
-                cl.stats.core_counts.copy(),
+                core_counts(state, cid).copy(),
                 cl.stats.member_count,
-                state.tables.log_dm_matrix(cl.stats.core_counts),
+                state.tables.log_dm_matrix(core_counts(state, cid)),
             )
             for cid, cl in state.clusters.items()
         }
@@ -136,9 +150,9 @@ class TestMembershipConditional:
         for cid, (w, counts, m, logm) in stats_before.items():
             cl = state.clusters[cid]
             assert cl.stats.width == w
-            assert np.array_equal(cl.stats.core_counts, counts)
+            assert np.array_equal(core_counts(state, cid), counts)
             assert cl.stats.member_count == m
-            assert state.tables.log_dm_matrix(cl.stats.core_counts) == logm
+            assert state.tables.log_dm_matrix(core_counts(state, cid)) == logm
         state.audit()
 
     def test_own_cluster_probability_for_singleton(self):
@@ -643,27 +657,28 @@ class TestVectorisedWeights:
         state, rng = _swept_state(case)
         hyper = state.hyper
         i = int(rng.integers(0, state.n_motifs()))
-        own = state.clusters[int(state.z[i])]
+        own = int(state.z[i])
         o, length = int(state.offsets[i]), int(state.lengths[i])
         logw = _assignment_weights(state, i)
-        assert logw.shape == (len(state._seg_owner) + 1,)
-        for seg, cl in enumerate(state._seg_owner):
-            if cl is None:
+        assert logw.shape == (state._nseg + 1,)
+        for seg, cid in enumerate(state._seg_cid[: state._nseg].tolist()):
+            if cid < 0:
                 assert logw[seg] == -np.inf  # retired segment
                 continue
+            cl = state.clusters[cid]
             w = cl.stats.width
             if o + w > length:
                 assert logw[seg] == -np.inf  # too wide at this offset
                 continue
             core = state.core(i, o, w)
-            stats = cl.stats
-            if cl is own:
-                if own.stats.member_count == 1:
+            stats = ClusterStats(w, core_counts(state, cid), cl.stats.member_count)
+            if cid == own:
+                if cl.stats.member_count == 1:
                     assert logw[seg] == -np.inf  # leaving a singleton is "new"
                     continue
                 stats = ClusterStats(
                     width=w,
-                    core_counts=cl.stats.core_counts - core,
+                    core_counts=core_counts(state, cid) - core,
                     member_count=cl.stats.member_count - 1,
                 )
             expected = (
@@ -672,7 +687,7 @@ class TestVectorisedWeights:
                 - log_background(core.sum(axis=0), hyper)
             )
             assert logw[seg] == pytest.approx(expected, abs=1e-9)
-        core = state.core(i, o, own.stats.width)
+        core = state.core(i, o, state.clusters[own].stats.width)
         expected_new = (
             math.log(hyper.b)
             + log_pred_new(core, hyper)
@@ -690,7 +705,7 @@ class TestVectorisedWeights:
         w, o = cl.stats.width, int(state.offsets[i])
         rest = ClusterStats(
             width=w,
-            core_counts=cl.stats.core_counts - state.core(i, o, w),
+            core_counts=core_counts(state, int(state.z[i])) - state.core(i, o, w),
             member_count=cl.stats.member_count - 1,
         )
         expected = [
@@ -708,7 +723,7 @@ class TestColumnTableAudit:
         ops = [0, 2, 0, 1, 2, 0, 0, 2, 1, 0, 2, 0, 0, 0, 2, 2, 0, 1]
         for seed in range(50):
             state, _ = _swept_state((5, hyper, [4, 6, 5, 3, 6], seed, ops))
-            if None in state._seg_owner and len(state.clusters) > 1:
+            if np.any(state._seg_cid[: state._nseg] < 0) and len(state.clusters) > 1:
                 state.audit()
                 return state
         raise AssertionError("no seed left a retired segment behind")
@@ -716,26 +731,38 @@ class TestColumnTableAudit:
     @pytest.mark.parametrize(
         "corrupt",
         [
-            lambda s, cl: s._cols.__setitem__((0, s._seg_start[cl.seg]), s._cols[0, s._seg_start[cl.seg]] + 1),
-            lambda s, cl: s._cols.__setitem__((4, s._seg_start[cl.seg]), s._cols[4, s._seg_start[cl.seg]] + 1),
-            lambda s, cl: s._fcol.__setitem__(s._seg_start[cl.seg], s._fcol[s._seg_start[cl.seg]] + 1e-12),
-            lambda s, cl: s._pos.__setitem__(s._seg_start[cl.seg], s._pos[s._seg_start[cl.seg]] + 1),
-            lambda s, cl: s._seg_prior.__setitem__(cl.seg, s._seg_prior[cl.seg] + 1.0),
-            lambda s, cl: s._seg_start.__setitem__(cl.seg, s._seg_start[cl.seg] + 1),
-            lambda s, cl: setattr(s, "_dead", s._dead + 1),
+            lambda s, seg: s._cols.__setitem__((0, s._seg_start[seg]), s._cols[0, s._seg_start[seg]] + 1),
+            lambda s, seg: s._cols.__setitem__((4, s._seg_start[seg]), s._cols[4, s._seg_start[seg]] + 1),
+            lambda s, seg: s._fcol.__setitem__(s._seg_start[seg], s._fcol[s._seg_start[seg]] + 1e-12),
+            lambda s, seg: s._pos.__setitem__(s._seg_start[seg], s._pos[s._seg_start[seg]] + 1),
+            lambda s, seg: s._seg_prior.__setitem__(seg, s._seg_prior[seg] + 1.0),
+            lambda s, seg: s._seg_start.__setitem__(seg, s._seg_start[seg] + 1),
+            lambda s, seg: setattr(s, "_dead", s._dead + 1),
+            lambda s, seg: s._seg_cid.__setitem__(seg, s._seg_cid[seg] + 1),
+            lambda s, seg: s._seg_count.__setitem__(seg, s._seg_count[seg] + 1),
+            lambda s, seg: s._seg_of.__setitem__(int(s._seg_cid[seg]), (seg + 1) % s._nseg),
         ],
-        ids=["counts", "totals", "marginal", "position", "prior", "segment-map", "dead"],
+        ids=["counts", "totals", "marginal", "position", "prior", "segment-map", "dead",
+             "cluster-id", "member-count", "cluster-map"],
     )
     def test_audit_rebuilds_and_compares_column_table(self, corrupt):
         state = self.swept()
-        corrupt(state, state.clusters[max(state.clusters)])
+        corrupt(state, state._seg_of[max(state.clusters)])
         with pytest.raises(AssertionError):
             state.audit()
 
     def test_retired_segments_must_be_empty(self):
         state = self.swept()
-        dead = [seg for seg, cl in enumerate(state._seg_owner) if cl is None]
+        dead = np.flatnonzero(state._seg_cid[: state._nseg] < 0)
         state._cols[0, int(state._seg_start[dead[0]])] += 1
+        with pytest.raises(AssertionError):
+            state.audit()
+
+    @pytest.mark.parametrize("array", ["_seg_cid", "_seg_count"])
+    def test_retired_segments_must_belong_to_no_cluster(self, array):
+        state = self.swept()
+        dead = np.flatnonzero(state._seg_cid[: state._nseg] < 0)
+        getattr(state, array)[dead[0]] = max(state.clusters)
         with pytest.raises(AssertionError):
             state.audit()
 
@@ -839,8 +866,7 @@ class TestBatchedWidthSweep:
         state, rng = _swept_state(case)
         wmin = state.hyper.wmin
         cids = [int(c) for c in rng.permutation(sorted(state.clusters))]
-        cls = [state.clusters[cid] for cid in cids]
-        rows, logw, _ = _width_weights(state, cls)
+        rows, logw, _ = _width_weights(state, cids)
         refs = [reference_width_conditional(state, cid) for cid in cids]
         assert list(rows) == [k for k, ref in enumerate(refs) if ref is not None]
         for row, k in enumerate(rows):
@@ -850,8 +876,8 @@ class TestBatchedWidthSweep:
         # sequential draws, one cluster at a time, from an equal-seeded rng
         ref_rng = np.random.default_rng(draw_seed)
         expected = {
-            cid: cl.stats.width if ref is None else wmin + _categorical(ref, ref_rng)
-            for cid, cl, ref in zip(cids, cls, refs)
+            cid: state.clusters[cid].stats.width if ref is None else wmin + _categorical(ref, ref_rng)
+            for cid, ref in zip(cids, refs)
         }
         batch_rng = np.random.default_rng(draw_seed)
         resample_width(state, cids, batch_rng)
@@ -1124,3 +1150,51 @@ class TestPinnedTrajectory:
         hyper = Hyperparameters(alpha=1.0, b=1.0, lam=6.0, wmin=4, prior_kind=prior)
         trace = run(data, hyper, RunConfig(iterations=60, seed=3, align_every=align_every))
         assert trajectory_digest(trace) == pin
+
+
+class TestGewekeWidthMove:
+    """Successive-conditional test (Geweke 2004, JASA 99:799) of the width
+    move alone.  With the labels and offsets held, each step draws the data
+    from the likelihood given (z, o, w), rebuilds the state from that
+    snapshot and redraws every width; the widths' stationary law is then
+    the width prior truncated at each cluster's top."""
+
+    HYPER = Hyperparameters(alpha=1.0, b=1.0, lam=3.0, wmin=2)
+    LENGTHS, SITES = (5, 6, 6), 8
+    Z, OFFSETS = np.array([0, 0, 1]), np.array([0, 1, 2])
+    TOPS = (5, 4)  # min over members of L - o
+    STEPS, BATCHES = 6000, 20
+
+    def width_chain(self, rng):
+        hyper, theta0 = self.HYPER, np.asarray(self.HYPER.theta0)
+        widths = np.array([hyper.wmin] * len(self.TOPS))
+        chain = np.empty((self.STEPS, len(self.TOPS)), dtype=np.int64)
+        for t in range(self.STEPS):
+            rows = [rng.multinomial(self.SITES, theta0, size=length) for length in self.LENGTHS]
+            for c, w in enumerate(widths.tolist()):
+                theta = rng.dirichlet(np.full(4, hyper.alpha), size=w)
+                for i in np.flatnonzero(self.Z == c).tolist():
+                    o = int(self.OFFSETS[i])
+                    rows[i][o : o + w] = rng.multinomial(self.SITES, theta)
+            data = [rec(f"m{k}", r) for k, r in enumerate(rows)]
+            state = state_from_snapshot(data, hyper, Snapshot(0, 0.0, self.Z, self.OFFSETS, widths))
+            resample_width(state, sorted(state.clusters), rng)
+            widths = np.array([state.clusters[c].stats.width for c in range(len(self.TOPS))])
+            chain[t] = widths
+        return chain
+
+    def test_width_marginals_match_the_truncated_prior(self):
+        chain = self.width_chain(np.random.default_rng(0))
+        wmin = self.HYPER.wmin
+        for c, top in enumerate(self.TOPS):
+            exact = np.exp(log_width_probs(self.HYPER, top))
+            support = np.arange(wmin, top + 1)
+            hits = (chain[:, c, None] == support).reshape(self.BATCHES, -1, len(support))
+            batch_freq = hits.mean(axis=1)
+            freq = batch_freq.mean(axis=0)
+            # batch-means standard error, floored at the independent-draw one
+            se = np.maximum(
+                batch_freq.std(axis=0, ddof=1) / math.sqrt(self.BATCHES),
+                np.sqrt(exact * (1 - exact) / self.STEPS),
+            )
+            assert np.all(np.abs(freq - exact) <= 5 * se), (c, freq, exact, se)
