@@ -3,10 +3,13 @@
 All likelihood terms are Dirichlet-multinomial column marginals with a
 symmetric Dirichlet(alpha) prior per position, integrated analytically.
 Partition priors come in two flavours (Dirichlet process and uniform), both
-expressed through sequential assignment weights so the same machinery drives
-the Gibbs conditionals, the closed-form densities and prior simulation.
-Everything returns natural-log values; normalization happens at call sites
-by max-subtraction.
+defined by sequential assignment weights (seq_prior_weights): prior
+simulation draws from them and log_partition_prior is their density.  The
+Gibbs conditionals do not use them; the sampler keeps its own per-cluster
+log masses (log m under the DP, 0 under the uniform prior), which under the
+uniform prior target b^C rather than the sequential density.  Everything
+returns natural-log values; normalization happens at call sites by
+max-subtraction.
 """
 
 from __future__ import annotations

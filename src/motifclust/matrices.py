@@ -196,14 +196,20 @@ def filter_min_width(
 def validate_records(
     records: Iterable[MotifRecord], require_equal_position_totals: bool = False
 ) -> None:
-    """Check cross-record invariants; raises ValueError naming the offender."""
+    """Check the records the sampler and the reports rely on: unique ids and
+    no position without counts (and, on request, equal position totals).
+    Raises ValueError naming the offender."""
     seen: set[str] = set()
     for rec in records:
         if rec.id in seen:
             raise ValueError(f"duplicate motif id {rec.id!r}")
         seen.add(rec.id)
-        if require_equal_position_totals and not rec.matrix.has_equal_position_totals():
-            totals = rec.matrix.position_totals().tolist()
+        totals = rec.matrix.position_totals()
+        if not totals.all():
             raise ValueError(
-                f"motif {rec.id!r} has unequal position totals {totals}"
+                f"motif {rec.id!r} position {int(totals.argmin())} has zero total count"
+            )
+        if require_equal_position_totals and not rec.matrix.has_equal_position_totals():
+            raise ValueError(
+                f"motif {rec.id!r} has unequal position totals {totals.tolist()}"
             )

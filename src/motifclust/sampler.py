@@ -141,10 +141,10 @@ class SamplerState:
     write in `_seg_stamp` (unique across segments; compaction carries it
     along).  The moves memoise their conditionals against these: per motif
     one alignment CDF keyed on its segment's stamp and one assignment CDF
-    keyed on the clock, plus the width sweep's last evaluation keyed on the
-    clock and the clusters it covered.  A memo whose key is current is the
-    conditional a fresh evaluation would give, bit for bit (audit checks
-    this), so a hit only skips the arithmetic, never changes a draw.
+    keyed on the clock, plus the width sweep's last evaluation, also keyed
+    on the clock.  A memo whose key is current is the conditional a fresh
+    evaluation would give, bit for bit (audit checks this), so a hit only
+    skips the arithmetic, never changes a draw.
     """
 
     __slots__ = (
@@ -275,11 +275,11 @@ class SamplerState:
         self._seg_of: dict[int, int] = {}
         self._clock = 0
         self._views: tuple[int, Mapping[int, ClusterView]] = (-1, {})
-        # (key, CDF) per motif, and (key, rows, CDF, sums) of the width sweep;
-        # key -1 never matches
+        # (key, CDF) per motif, and (key, segments, CDF, sums) of the width
+        # sweep; key -1 never matches
         self._align_memo: list[tuple[int, np.ndarray | None]] = [(-1, None)] * n
         self._assign_memo: list[tuple[int, np.ndarray | None]] = [(-1, None)] * n
-        self._width_memo: tuple = ((-1, ()), None, None, None)
+        self._width_memo: tuple = (-1, None, None, None)
 
     # ------------------------------------------------------------ bookkeeping
 
@@ -292,7 +292,7 @@ class SamplerState:
         arrays and z; until the next write each id reads as one ClusterView."""
         clock, views = self._views
         if clock != self._clock:
-            _, members, sizes = self._room(list(self._seg_of))
+            _, members, sizes = self._groups()
             members, ends = members.tolist(), np.add.accumulate(sizes).tolist()
             widths = self._seg_width[list(self._seg_of.values())].tolist()
             views = MappingProxyType({
@@ -313,17 +313,17 @@ class SamplerState:
         zeros; those past _ncols may hold stale data after a compaction)."""
         return self._grand_total - np.add.reduce(self._cols[:4, : self._ncols], axis=1)
 
-    def _room(self, cids: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Widest core every member of each listed cluster can hold at its
-        offset, and the members grouped by cluster in list order, by size."""
-        order = self.z.argsort(kind="stable")
-        labels = self.z[order]
+    def _groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per live cluster, in ascending id: the widest core every member
+        can hold at its offset; then every motif grouped by cluster in
+        ascending id (one stable argsort of z), and the group sizes."""
+        members = self.z.argsort(kind="stable")
+        labels = self.z[members]
+        cids = list(self._seg_of)
         first = labels.searchsorted(cids)
         sizes = labels.searchsorted(cids, side="right") - first
-        ends = np.add.accumulate(sizes)
-        members = order[np.repeat(first + sizes - ends, sizes) + np.arange(sizes.sum())]
         room = (self.lengths - self.offsets)[members]
-        return np.minimum.reduceat(room, ends - sizes), members, sizes
+        return np.minimum.reduceat(room, first), members, sizes
 
     def _log_mass(self, member_count: int) -> float:
         return math.log(member_count) if self._dp else 0.0
@@ -455,7 +455,7 @@ class SamplerState:
         cids, segs = list(self._seg_of), list(self._seg_of.values())
         if cids != sorted(set(self.z.tolist())) or not all(0 <= seg < k for seg in segs):
             raise AssertionError("cluster map out of sync with the labels")
-        _, members, sizes = self._room(cids)
+        _, members, sizes = self._groups()
         owner, count, prior = np.full(k, -1), np.zeros(k, dtype=np.int64), np.full(k, -np.inf)
         owner[segs], count[segs] = cids, sizes
         prior[segs] = [self._log_mass(m) for m in sizes.tolist()]
@@ -503,10 +503,10 @@ class SamplerState:
         for i, (key, cum) in enumerate(self._assign_memo):
             if key == self._clock and not np.array_equal(cum, _cdf(_assignment_weights(self, i))):
                 raise AssertionError(f"motif {i} assignment memo stale")
-        (clock, cids), *memo = self._width_memo
+        clock, *memo = self._width_memo
         if clock == self._clock:
-            rows, logw, sums = _width_weights(self, cids)
-            fresh = (rows, None if logw is None else _cdf(logw), sums)
+            segs, logw, sums = _width_weights(self)
+            fresh = (segs, None if logw is None else _cdf(logw), sums)
             if not all(np.array_equal(a, b) for a, b in zip(memo, fresh)):
                 raise AssertionError("width memo stale")
 
@@ -520,7 +520,7 @@ class SamplerState:
         lp += float(np.add.reduce(self._fcol[: self._ncols]))
         lp += (self._ncols - self._dead) * self.tables.log_const
         # per cluster, in ascending cid order
-        top = self._room(list(self._seg_of))[0]
+        top = self._groups()[0]
         widths = self._seg_width[list(self._seg_of.values())]
         lp += float(np.add.reduce(self._wprior[top, widths]))
         return lp
@@ -703,13 +703,11 @@ def resample_alignment(state: SamplerState, i: int, rng: np.random.Generator) ->
     state.updates += 1
 
 
-def _width_weights(
-    state: SamplerState, cids: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """Unnormalized log weights of the core widths of the listed clusters
-    that can take more than one width.
+def _width_weights(state: SamplerState) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Unnormalized log weights of the core widths of the live clusters
+    that can take more than one width, in ascending cluster id.
 
-    Returns the indices into cids of those clusters, their log weights (row
+    Returns the segment indices of those clusters, their log weights (row
     per cluster, column w - wmin, -inf past the widest core every member
     can hold) and their members' summed column stacks (5, rows, columns),
     whose first w columns are the cluster's core at width w.  Weight of
@@ -719,11 +717,12 @@ def _width_weights(
     """
     tables = state.tables
     wmin = state.hyper.wmin
-    top, members, sizes = state._room(cids)
+    top, members, sizes = state._groups()
     free = top > wmin
     rows = free.nonzero()[0]
     if not len(rows):
         return rows, None, None
+    segs = np.array(list(state._seg_of.values()))[rows]
     members = members[np.repeat(free, sizes)]
     sizes, top = sizes[rows], top[rows]
     span = int(top.max())
@@ -733,36 +732,34 @@ def _width_weights(
     col_bg = (state._log_theta0 @ sums[:4].reshape(4, -1)).reshape(len(rows), span)
     col = tables.column_marginals(sums) + tables.log_const - col_bg
     logw = np.add.accumulate(col, axis=1)[:, wmin - 1 :] + state._wprior[top, wmin : span + 1]
-    return rows, logw, sums
+    return segs, logw, sums
 
 
-def resample_width(state: SamplerState, cids: Sequence[int], rng: np.random.Generator) -> None:
-    """Gibbs update of the core widths of the listed clusters, in list order.
+def resample_width(state: SamplerState, rng: np.random.Generator) -> None:
+    """Gibbs update of the core widths of every live cluster.
 
     Given the partition and the offsets, the widths of different clusters
     are independent, so all of them are drawn from one evaluation (see
     _width_weights), one uniform per cluster with more than one feasible
-    width, in list order.  The moved clusters are retired and appended to
-    the column table as one block.
+    width, in ascending cluster id.  The moved clusters are retired and
+    appended to the column table as one block.
 
-    The evaluation is memoised against the state's mutation clock and the
-    listed clusters: a sweep that finds the table as the last one left it
-    draws from the stored CDFs.
+    The evaluation is memoised against the state's mutation clock: a sweep
+    that finds the table as the last one left it draws from the stored
+    CDFs.
     """
-    state.updates += len(cids)
-    key = (state._clock, tuple(cids))
-    if state._width_memo[0] == key:
-        _, rows, cum, sums = state._width_memo
+    state.updates += len(state._seg_of)
+    if state._width_memo[0] == state._clock:
+        _, segs, cum, sums = state._width_memo
     else:
-        rows, logw, sums = _width_weights(state, cids)
+        segs, logw, sums = _width_weights(state)
         cum = None if logw is None else _cdf(logw)
-        state._width_memo = (key, rows, cum, sums)
+        state._width_memo = (state._clock, segs, cum, sums)
     if cum is None:
         return
     # row-wise inverse CDF, searchsorted(side="right") as in _draw
-    u = rng.random(len(rows)) * cum[:, -1]
+    u = rng.random(len(segs)) * cum[:, -1]
     w_new = state.hyper.wmin + np.add.reduce(cum <= u[:, None], axis=1)
-    segs = np.array([state._seg_of[cids[r]] for r in rows.tolist()])
     moved = (w_new != state._seg_width[segs]).nonzero()[0]
     if not len(moved):
         return
@@ -795,7 +792,7 @@ def run(data: Sequence[MotifRecord], hyper: Hyperparameters, config: RunConfig) 
         if config.align_every is not None and t % config.align_every == 0:
             for i in range(n):
                 resample_alignment(state, i, rng)
-        resample_width(state, list(state._seg_of), rng)
+        resample_width(state, rng)
         logp = state.log_joint_fast()
         log_joint_series[t - 1] = logp
         n_clusters_series[t - 1] = len(state._seg_of)

@@ -57,14 +57,27 @@ def _snapshot_dict(snap: Snapshot) -> dict:
     }
 
 
-def _snapshot_from(rec: dict) -> Snapshot:
-    return Snapshot(
-        iteration=int(rec["iteration"]),
-        log_joint=float(rec["log_joint"]),
-        z=np.asarray(rec["z"], dtype=np.int64),
-        offsets=np.asarray(rec["offsets"], dtype=np.int64),
-        widths=np.asarray(rec["widths"], dtype=np.int64),
-    )
+def _snapshot_from(rec: dict, n: int, path: str | Path, what: str) -> Snapshot:
+    """The snapshot in `rec`, which must hold n labels and n offsets, the
+    labels canonical and one width per cluster; else a TraceFormatError
+    names the file and `what` the record is."""
+    z, offsets, widths = rec["z"], rec["offsets"], rec["widths"]
+    first = list(dict.fromkeys(z))
+    if len(z) != n or len(offsets) != n:
+        fault = f"{len(z)} labels and {len(offsets)} offsets for {n} motif ids"
+    elif first != list(range(len(first))):
+        fault = "labels not numbered 0..C-1 in order of first appearance"
+    elif len(widths) != len(first):
+        fault = f"{len(widths)} widths for {len(first)} clusters"
+    else:
+        return Snapshot(
+            iteration=int(rec["iteration"]),
+            log_joint=float(rec["log_joint"]),
+            z=np.asarray(z, dtype=np.int64),
+            offsets=np.asarray(offsets, dtype=np.int64),
+            widths=np.asarray(widths, dtype=np.int64),
+        )
+    raise TraceFormatError(f"{path}: {what}: {fault}")
 
 
 def trace_lines(trace: RunTrace):
@@ -141,8 +154,9 @@ def load_trace(path: str | Path) -> RunTrace:
 
     Fails with TraceFormatError on a missing or foreign header, an
     unsupported version, a missing or repeated iteration record, a record
-    of unknown kind, a repeated best record or any record after it, or a
-    truncated file (no best record).
+    of unknown kind, a repeated best record or any record after it, a
+    truncated file (no best record), or a snapshot (the header's initial
+    state included) that does not fit the header's motif ids.
     """
     lines = [line for line in _read_text(Path(path)).splitlines() if line]
     if not lines:
@@ -157,6 +171,8 @@ def load_trace(path: str | Path) -> RunTrace:
         )
     config = settings_from(RunConfig, header["config"])
     hyper = settings_from(Hyperparameters, header["hyper"])
+    ids = list(header["ids"])
+    initial = _snapshot_from(header["initial"], len(ids), path, "header initial state")
     log_joint = np.empty(config.iterations)
     n_clusters = np.empty(config.iterations, dtype=np.int64)
     seen = np.zeros(config.iterations, dtype=bool)
@@ -183,9 +199,9 @@ def load_trace(path: str | Path) -> RunTrace:
             log_joint[t - 1] = rec["log_joint"]
             n_clusters[t - 1] = rec["n_clusters"]
         elif kind == "snapshot":
-            snapshots.append(_snapshot_from(rec))
+            snapshots.append(_snapshot_from(rec, len(ids), path, "snapshot record"))
         else:
-            best = _snapshot_from(rec)
+            best = _snapshot_from(rec, len(ids), path, "best record")
     if not seen.all():
         raise TraceFormatError(
             f"{path}: {int(seen.sum())} iteration records, expected {config.iterations}"
@@ -193,10 +209,10 @@ def load_trace(path: str | Path) -> RunTrace:
     if best is None:
         raise TraceFormatError(f"{path}: truncated file, no best record")
     return RunTrace(
-        ids=list(header["ids"]),
+        ids=ids,
         config=config,
         hyper=hyper,
-        initial=_snapshot_from(header["initial"]),
+        initial=initial,
         log_joint_series=log_joint,
         n_clusters_series=n_clusters,
         snapshots=snapshots,

@@ -313,6 +313,18 @@ class TestExitCodes:
         assert rc == 2
         assert "bad.jaspar" in capsys.readouterr().err
 
+    def test_position_without_counts_refused_before_out(self, tmp_path, capsys):
+        # sampled, it would fail only in the report's consensus
+        bad = tmp_path / "empty.jaspar"
+        bad.write_text(
+            ">m1 one\nA [ 5 0 1 3 4 2 6 1 ]\nC [ 1 0 3 3 0 2 0 1 ]\n"
+            "G [ 0 0 2 1 2 2 0 4 ]\nT [ 2 0 2 1 2 2 2 2 ]\n"
+        )
+        out = tmp_path / "r"
+        assert entry(cluster_args(bad, out, min_width=7, iters=20, **{"lambda": 7})) == 2
+        assert "motif 'm1' position 1 has zero total count" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "payload",
         [

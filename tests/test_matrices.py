@@ -187,3 +187,11 @@ def test_validate_records_duplicate_and_sums(ma0011_record):
     validate_records([uneven])  # accepted by default
     with pytest.raises(ValueError, match="unequal"):
         validate_records([uneven], require_equal_position_totals=True)
+
+
+def test_validate_records_refuses_a_position_without_counts(ma0011_record):
+    hollow = record_from_rows(
+        "h", {"A": [5, 0, 1], "C": [1, 0, 1], "G": [1, 0, 1], "T": [1, 0, 1]}
+    )
+    with pytest.raises(ValueError, match="motif 'h' position 1 has zero total count"):
+        validate_records([ma0011_record, hollow])

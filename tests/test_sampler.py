@@ -338,7 +338,7 @@ class TestWidthMove:
         state = init_state(data, hyper, np.random.default_rng(0))
         cid = int(state.z[0])
         before = state.updates
-        resample_width(state, [cid], np.random.default_rng(1))
+        resample_width(state, np.random.default_rng(1))
         assert state.clusters[cid].stats.width == 2
         assert state.updates == before + 1
         state.audit()
@@ -372,7 +372,7 @@ class TestWidthMove:
         rng = np.random.default_rng(13)
         hits = np.zeros(3)
         for _ in range(20000):
-            resample_width(state, [cid], rng)
+            resample_width(state, rng)
             hits[state.clusters[cid].stats.width - 1] += 1
         hits /= hits.sum()
         assert np.abs(hits - exact).max() < 0.02
@@ -393,7 +393,7 @@ class TestWidthMove:
         rng = np.random.default_rng(17)
         widths = []
         for _ in range(400):
-            resample_width(state, [cid], rng)
+            resample_width(state, rng)
             widths.append(state.clusters[cid].stats.width)
         values, counts = np.unique(widths, return_counts=True)
         assert values[counts.argmax()] == 6
@@ -637,8 +637,7 @@ def _swept_state(case):
         elif op == 1:
             resample_alignment(state, int(rng.integers(0, n)), rng)
         else:
-            cids = sorted(state.clusters)
-            resample_width(state, [cids[int(rng.integers(0, len(cids)))]], rng)
+            resample_width(state, rng)
     return state, rng
 
 
@@ -714,6 +713,27 @@ class TestVectorisedWeights:
             for a in range(int(state.lengths[i]) - w + 1)
         ]
         np.testing.assert_allclose(_alignment_weights(state, i), expected, rtol=0, atol=1e-9)
+
+
+class TestGroups:
+    """SamplerState._groups, which audit() itself relies on, against a
+    plain loop over the motifs of each cluster."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_state_and_ops())
+    def test_groups_match_a_per_cluster_loop(self, case):
+        state, _ = _swept_state(case)
+        room, members, sizes = state._groups()
+        cids = sorted(set(state.z.tolist()))
+        assert len(room) == len(sizes) == len(cids)
+        start = 0
+        for k, cid in enumerate(cids):
+            own = [i for i in range(state.n_motifs()) if state.z[i] == cid]
+            assert members[start : start + len(own)].tolist() == own
+            assert sizes[k] == len(own)
+            assert room[k] == min(int(state.lengths[i]) - int(state.offsets[i]) for i in own)
+            start += len(own)
+        assert start == len(members)
 
 
 class TestColumnTableAudit:
@@ -808,7 +828,7 @@ class TestColumnTableAudit:
                     seen.add("alignment")
                 check()
             widths = {cid: cl.stats.width for cid, cl in state.clusters.items()}
-            resample_width(state, sorted(state.clusters), rng)
+            resample_width(state, rng)
             if any(cl.stats.width != widths[cid] for cid, cl in state.clusters.items()):
                 seen.add("width")
             check()
@@ -828,8 +848,7 @@ class TestColumnTableAudit:
             for i in range(state.n_motifs()):
                 resample_assignment(state, i, rng)
                 resample_alignment(state, i, rng)
-            for cid in sorted(state.clusters):
-                resample_width(state, [cid], rng)
+            resample_width(state, rng)
         state.audit()
         assert state._cols.shape == capacity
         live = state._ncols - state._dead
@@ -865,12 +884,12 @@ class TestBatchedWidthSweep:
     def test_matches_per_cluster_conditional_and_draws(self, case, draw_seed):
         state, rng = _swept_state(case)
         wmin = state.hyper.wmin
-        cids = [int(c) for c in rng.permutation(sorted(state.clusters))]
-        rows, logw, _ = _width_weights(state, cids)
+        cids = sorted(state.clusters)
+        segs, logw, _ = _width_weights(state)
         refs = [reference_width_conditional(state, cid) for cid in cids]
-        assert list(rows) == [k for k, ref in enumerate(refs) if ref is not None]
-        for row, k in enumerate(rows):
-            ref = refs[k]
+        free = [(cid, ref) for cid, ref in zip(cids, refs) if ref is not None]
+        assert state._seg_cid[segs].tolist() == [cid for cid, _ in free]
+        for row, (_, ref) in enumerate(free):
             np.testing.assert_allclose(logw[row, : len(ref)], ref, rtol=0, atol=1e-9)
             assert np.all(logw[row, len(ref) :] == -np.inf)
         # sequential draws, one cluster at a time, from an equal-seeded rng
@@ -880,7 +899,7 @@ class TestBatchedWidthSweep:
             for cid, ref in zip(cids, refs)
         }
         batch_rng = np.random.default_rng(draw_seed)
-        resample_width(state, cids, batch_rng)
+        resample_width(state, batch_rng)
         assert {cid: state.clusters[cid].stats.width for cid in cids} == expected
         assert batch_rng.bit_generator.state == ref_rng.bit_generator.state
         state.audit()
@@ -899,10 +918,9 @@ class TestBatchedWidthSweep:
         rng = np.random.default_rng(5)
         before = rng.bit_generator.state
         updates = state.updates
-        cids = sorted(state.clusters)
-        resample_width(state, cids, rng)
+        resample_width(state, rng)
         assert rng.bit_generator.state == before
-        assert state.updates == updates + len(cids)
+        assert state.updates == updates + len(state.clusters)
         assert all(cl.stats.width == 3 for cl in state.clusters.values())
         state.audit()
 
@@ -918,7 +936,7 @@ class TestBatchedWidthSweep:
             for i in range(state.n_motifs()):
                 resample_assignment(state, i, rng)
                 resample_alignment(state, i, rng)
-            resample_width(state, sorted(state.clusters), rng)
+            resample_width(state, rng)
             seen.update(cl.stats.width for cl in state.clusters.values())
         state.audit()
         assert len(seen) > 1
@@ -950,7 +968,7 @@ class TestTableBound:
             for i in range(state.n_motifs()):
                 resample_assignment(state, i, rng)
                 resample_alignment(state, i, rng)
-            resample_width(state, sorted(state.clusters), rng)
+            resample_width(state, rng)
             check()
 
 
@@ -1000,7 +1018,7 @@ class TestRowMajorLayout:
             for i in range(n):
                 resample_assignment(state, i, rng)
                 resample_alignment(state, i, rng)
-            resample_width(state, sorted(state.clusters), rng)
+            resample_width(state, rng)
         assert mixed()
         assert state._cols.flags.c_contiguous and state._flat.flags.c_contiguous
 
@@ -1021,7 +1039,7 @@ class TestRowMajorLayout:
         for i in range(n):
             resample_alignment(state, i, rng)
         sweep = "width"
-        resample_width(state, sorted(state.clusters), rng)
+        resample_width(state, rng)
         assert set(stacks) == {"assign", "align", "width"}
         state.audit()
 
@@ -1056,12 +1074,13 @@ class TestMemoisedConditionals:
                 evaluations[_move] += 1
                 return _fresh(*args)
 
-            def visit(state, arg, rng, _inner=inner, _move=move):
+            def visit(state, *args, _inner=inner, _move=move):
                 if _move == "resample_alignment":
-                    if state.lengths[arg] == state.clusters[int(state.z[arg])].stats.width:
-                        return _inner(state, arg, rng)  # a single offset: no conditional
+                    i = args[0]
+                    if state.lengths[i] == state.clusters[int(state.z[i])].stats.width:
+                        return _inner(state, *args)  # a single offset: no conditional
                 before = evaluations[_move]
-                _inner(state, arg, rng)
+                _inner(state, *args)
                 visits[_move, "miss" if evaluations[_move] > before else "hit"] += 1
 
             monkeypatch.setattr(sampler, weights, evaluate)
@@ -1093,14 +1112,14 @@ class TestMemoisedConditionals:
             n = state.n_motifs()
             state._align_memo = [(-1, None)] * n
             state._assign_memo = [(-1, None)] * n
-            state._width_memo = ((-1, ()), None, None, None)
+            state._width_memo = (-1, None, None, None)
 
         for move in self.MOVES:
             inner = getattr(sampler, move)
 
-            def fresh(state, arg, rng, _inner=inner):
+            def fresh(state, *args, _inner=inner):
                 forget(state)
-                _inner(state, arg, rng)
+                _inner(state, *args)
 
             monkeypatch.setattr(sampler, move, fresh)
         reference = run(data, hyper, config)
@@ -1178,7 +1197,7 @@ class TestGewekeWidthMove:
                     rows[i][o : o + w] = rng.multinomial(self.SITES, theta)
             data = [rec(f"m{k}", r) for k, r in enumerate(rows)]
             state = state_from_snapshot(data, hyper, Snapshot(0, 0.0, self.Z, self.OFFSETS, widths))
-            resample_width(state, sorted(state.clusters), rng)
+            resample_width(state, rng)
             widths = np.array([state.clusters[c].stats.width for c in range(len(self.TOPS))])
             chain[t] = widths
         return chain

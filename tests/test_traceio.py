@@ -268,6 +268,34 @@ class TestFormatGuards:
         with pytest.raises(TraceFormatError, match="snapshot record after the best record"):
             load_trace(path)
 
+    @pytest.mark.parametrize(
+        "kind, fault, message",
+        [
+            ("best", lambda s: {**s, "z": s["z"][:1], "widths": []},
+             "best record: 1 labels and 4 offsets for 4 motif ids"),
+            ("snapshot", lambda s: {**s, "offsets": s["offsets"][:-1]},
+             "snapshot record: 4 labels and 3 offsets for 4 motif ids"),
+            ("header", lambda s: {**s, "z": [lab + 1 for lab in s["z"]]},
+             "header initial state: labels not numbered 0..C-1"),
+            ("best", lambda s: {**s, "widths": s["widths"] + [3]},
+             "best record: .* widths for .* clusters"),
+        ],
+        ids=["labels", "offsets", "canonical", "widths"],
+    )
+    def test_snapshot_that_does_not_fit_the_header_rejected(self, tmp_path, kind, fault, message):
+        path = save_trace(small_trace(), tmp_path / "c.jsonl")
+        lines = path.read_text().splitlines()
+        k = next(k for k, ln in enumerate(lines) if json.loads(ln)["kind"] == kind)
+        rec = json.loads(lines[k])
+        if kind == "header":
+            rec["initial"] = fault(rec["initial"])
+        else:
+            rec = fault(rec)
+        lines[k] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceFormatError, match=f"c.jsonl: {message}"):
+            load_trace(path)
+
     def test_corrupt_gzip_is_distinguishable(self, tmp_path):
         path = tmp_path / "c.jsonl.gz"
         path.write_bytes(b"not gzip at all")
