@@ -413,26 +413,29 @@ def cmd_summarize(args) -> int:
     manifest_path = out / MANIFEST_NAME
     if not manifest_path.exists():
         raise RuntimeError(f"missing manifest: {manifest_path}")
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        inputs = [(Path(entry["path"]), entry["sha256"]) for entry in manifest["inputs"]]
+        parsed, names = manifest["outputs"]["parsed_records"], manifest["outputs"]["traces"]
+        digests = {name: manifest["digests"][name] for name in [parsed, *names]}
+        hyper = settings_from(Hyperparameters, manifest["hyper"])
+    except KeyError as exc:
+        raise RuntimeError(f"{manifest_path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise RuntimeError(f"{manifest_path}: {exc}") from None
     # the summaries read only the parsed records, so an input that has moved
     # away is noted and skipped; one that is present must still match
-    for entry in manifest["inputs"]:
-        path = Path(entry["path"])
+    for path, digest in inputs:
         if path.exists():
-            _verify_digest(path, entry["sha256"], "input")
+            _verify_digest(path, digest, "input")
         else:
-            print(f"motifclust: warning: input {path} is missing; "
-                  f"using {manifest['outputs']['parsed_records']}", file=sys.stderr)
-    digests = manifest["digests"]
-    parsed_path = out / manifest["outputs"]["parsed_records"]
-    _verify_digest(parsed_path, digests[parsed_path.name], "parsed records")
-    records = records_from_json(parsed_path.read_text())
-    hyper = settings_from(Hyperparameters, manifest["hyper"])
+            print(f"motifclust: warning: input {path} is missing; using {parsed}", file=sys.stderr)
+    _verify_digest(out / parsed, digests[parsed], "parsed records")
+    records = records_from_json((out / parsed).read_text())
     traces = []
-    for name in manifest["outputs"]["traces"]:
-        path = out / name
-        _verify_digest(path, digests[name], "trace")
-        traces.append(load_trace(path))
+    for name in names:
+        _verify_digest(out / name, digests[name], "trace")
+        traces.append(load_trace(out / name))
     _write_summaries(out, traces, records, hyper, level=args.level)
     print(f"summarized {len(traces)} chain(s) -> {out}")
     return 0

@@ -1,15 +1,15 @@
 """Log-space probability kernels for clustering count matrices.
 
 All likelihood terms are Dirichlet-multinomial column marginals with a
-symmetric Dirichlet(alpha) prior per position, integrated analytically.
+symmetric Dirichlet(alpha) prior per position, integrated analytically;
+GammaTables can also score the columns against the background theta0.
 Partition priors come in two flavours (Dirichlet process and uniform), both
 defined by sequential assignment weights (seq_prior_weights): prior
 simulation draws from them and log_partition_prior is their density.  The
-Gibbs conditionals do not use them; the sampler keeps its own per-cluster
-log masses (log m under the DP, 0 under the uniform prior), which under the
-uniform prior target b^C rather than the sequential density.  Everything
-returns natural-log values; normalization happens at call sites by
-max-subtraction.
+Gibbs conditionals do not use them; the sampler reads per-cluster log
+masses (log m under the DP, 0 under the uniform prior) from member counts,
+which under the uniform prior target b^C rather than the sequential
+density.  Everything returns natural-log values, normalized at call sites.
 """
 
 from __future__ import annotations
@@ -96,65 +96,68 @@ def _lgamma(x: np.ndarray) -> np.ndarray:
 
 
 class GammaTables:
-    """Log-gamma lookups for integer counts shifted by alpha, of fixed size.
+    """Log-gamma lookups for integer counts shifted by alpha, of fixed size,
+    that score columns against a background log_theta0 (default all zero).
 
     Every likelihood term is built from one column marginal,
     f(x) = sum_b lgamma(x_b + alpha) - lgamma(sum_b x_b + 4*alpha),
     read in a single gather from `lut` over a column stack (see `stack`):
-    the first `split` entries of `lut` hold lgamma(v + alpha), the next
-    `split` hold -lgamma(v + 4*alpha), and a stack's fifth row holds the
-    column totals plus `split`.  log_const is the per-column constant
-    lgamma(4a) - 4*lgamma(a): f(x) + log_const is the column's log marginal.
-    The tables never change once built; tables_for hands out larger ones.
+    block b < 4 of `split` entries holds lgamma(v + alpha) - v*log_theta0[b],
+    block 4 holds -lgamma(v + 4*alpha), and a stack offsets row r by
+    r*split, so a gather gives the score f(x) - x.log_theta0.  log_const is
+    the per-column constant lgamma(4a) - 4*lgamma(a): f(x) + log_const is
+    the column's log marginal.  The tables never change once built;
+    tables_for hands out larger ones.
     """
 
-    def __init__(self, alpha: float, size: int = 4096):
+    def __init__(self, alpha: float, size: int = 4096, log_theta0: Sequence[float] = (0.0,) * 4):
         self.alpha = float(alpha)
         self.split = int(size)
+        self.log_theta0 = tuple(float(x) for x in log_theta0)
         v = np.arange(self.split, dtype=float)
-        self.lut = np.concatenate([_lgamma(v + self.alpha), -_lgamma(v + 4 * self.alpha)])
+        lg = _lgamma(v + self.alpha)
+        self.lut = np.concatenate([lg - v * b for b in self.log_theta0] + [-_lgamma(v + 4 * self.alpha)])
         self.lut.flags.writeable = False
         self.log_const = math.lgamma(4 * self.alpha) - 4 * math.lgamma(self.alpha)
 
     def stack(self, counts: np.ndarray) -> np.ndarray:
         """(5, width) column stack of a (width, 4) count table: the four base
-        rows, then the column totals offset by `split`."""
+        rows, then the column totals, row r offset by r*split."""
         cols = np.empty((5, counts.shape[0]), dtype=np.int64)
         cols[:4] = counts.T
-        cols[4] = cols[:4].sum(axis=0) + self.split
-        return cols
+        cols[4] = cols[:4].sum(axis=0)
+        return cols + np.arange(0, 5 * self.split, self.split)[:, None]
 
     def column_marginals(self, cols: np.ndarray) -> np.ndarray:
-        """f of every column of a column stack (stack rows on axis 0, any
-        trailing shape); totals must stay below `split`.
+        """Score of every column of a column stack (stack rows on axis 0,
+        any trailing shape); totals must stay below `split`.
 
         Pass row-major stacks (unit-stride columns): the gather then comes
-        out C-contiguous and each marginal sums five contiguous rows.  On a
+        out C-contiguous and each score sums five contiguous rows.  On a
         column-major stack the same reduce is a five-element strided loop
         per column, about 6x slower."""
         return np.add.reduce(self.lut[cols], axis=0)
 
     def log_dm_matrix(self, counts: np.ndarray) -> float:
-        """Sum of per-column Dirichlet-multinomial log marginals for a
-        (width, 4) integer table, including the per-column constant."""
-        cols = self.stack(counts)
-        top = int(cols[4].max(initial=self.split)) - self.split
+        """Sum of per-column scores plus constants for a (width, 4) integer
+        table: at the default background, its columns' log marginals."""
+        top = int(counts.sum(axis=1).max(initial=0))
         if top >= self.split:
-            return tables_for(self.alpha, top).log_dm_matrix(counts)
-        return float(self.column_marginals(cols).sum() + cols.shape[1] * self.log_const)
+            return tables_for(self.alpha, top, self.log_theta0).log_dm_matrix(counts)
+        return float(self.column_marginals(self.stack(counts)).sum() + counts.shape[0] * self.log_const)
 
     # the benchmark still wraps this name; its next change drops it from METHODS
     log_dm_matrix_cached = log_dm_matrix
 
 
-def tables_for(alpha: float, top: int = 0) -> GammaTables:
-    """Shared tables for alpha that cover counts and column totals up to top."""
-    return _tables(float(alpha), max(4096, 1 << int(top).bit_length()))
+def tables_for(alpha: float, top: int = 0, log_theta0: Sequence[float] = (0.0,) * 4) -> GammaTables:
+    """Shared tables for alpha and log_theta0 covering counts and totals up to top."""
+    return _tables(float(alpha), max(4096, 1 << int(top).bit_length()), tuple(map(float, log_theta0)))
 
 
 @lru_cache(maxsize=32)
-def _tables(alpha: float, size: int) -> GammaTables:
-    return GammaTables(alpha, size)
+def _tables(alpha: float, size: int, log_theta0: tuple[float, ...]) -> GammaTables:
+    return GammaTables(alpha, size, log_theta0)
 
 
 def log_dm_column(counts: Sequence[int], alpha: float) -> float:

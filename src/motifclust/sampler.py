@@ -3,12 +3,13 @@
 State holds, per cluster, the summed core counts of its aligned members;
 cluster parameters are integrated out, so moves only ever touch these
 sufficient statistics.  They live in one column table, the only copy of
-the counts; the pooled background counts are derived from it as the grand
-total less every cluster's cores.  Each iteration
-sweeps assignments in motif-index order, then (on the align_every schedule)
-core offsets, then the widths of all clusters in one batched update.  All
-randomness flows through one numpy Generator, making runs bit-reproducible
-from the seed.
+the counts.  Every column starts out scored by the background theta0, and
+the tables score each core column against it, so the joint is a constant
+plus the scores of the core columns, and every move weight is a
+difference of table lookups.  Each iteration sweeps assignments in
+motif-index order, then (on the align_every schedule) core offsets, then
+the widths of all clusters in one batched update.  All randomness flows
+through one numpy Generator, making runs bit-reproducible from the seed.
 
 Offsets are 0-based column indices into the raw matrix; a core of width w
 at offset a covers columns [a, a + w).
@@ -112,24 +113,27 @@ class SamplerState:
 
     The summed core counts of every cluster live in one column table: a
     (5, capacity) column stack (see GammaTables.stack) in which each cluster
-    owns a contiguous segment of `width` columns, next to the marginal f of
-    each column.  A new cluster, or one whose width changes, gets a segment
-    appended at the end; the segment it leaves is retired (zero counts and
-    marginals, prior -inf).  Before an append, the table is compacted if
-    retired columns outnumber live ones; live columns never exceed the
-    summed motif lengths, so the table has a fixed capacity.
+    owns a contiguous segment of `width` columns, next to the score of each
+    column against the background (the tables are built on theta0).  A new
+    cluster, or one whose width changes, gets a segment appended at the
+    end; the segment it leaves is retired (zero counts and scores, member
+    count 0).  Before an append, the table is compacted if retired columns
+    outnumber live ones; live columns never exceed the summed motif lengths,
+    so the table has a fixed capacity.
 
     The rest of each cluster sits in per-segment arrays, in table order:
-    start, width, log prior mass (log m under the DP, 0 under the uniform
-    prior, -inf once retired), cluster id (-1 once retired), member count
-    and the stamp below.  `_seg_of` maps each live cluster id to its
-    segment, in ascending id order (ids only grow, and a relocated cluster
-    keeps its place).  Member lists come from `z`, grouped by one stable
-    argsort.  `clusters` is a read-only view of all this; no move reads it.
+    start, width, cluster id (-1 once retired), member count and the stamp
+    below.  A segment's log prior mass is `_logm` at its member count (log m
+    under the DP, 0 under the uniform prior, -inf at 0, so once retired).
+    `_seg_of` maps each live cluster id to its segment, in ascending id
+    order (ids only grow, and a relocated cluster keeps its place).  Member
+    lists come from `z`, grouped by one stable argsort.  `clusters` is a
+    read-only view of all this; no move reads it.
 
     The table is the only copy of the cluster counts: moves update it and
-    nothing else, and the background (per-base counts outside the cores of
-    attached motifs) is derived from it on demand.
+    nothing else.  The columns outside every core need no copy: the joint
+    scores all columns by the background once (`_null`), and each core
+    column's table score replaces that term.
 
     The table, the motif store `_flat` and every stack gathered from them
     are row-major, so each column marginal sums five contiguous rows (see
@@ -157,9 +161,8 @@ class SamplerState:
         "offsets",
         "updates",
         "_next_id",
-        "_grand_total",
-        "_log_theta0",
-        "_dp",
+        "_null",
+        "_logm",
         "_log_b",
         "_flat",
         "_base",
@@ -167,7 +170,6 @@ class SamplerState:
         "_win",
         "_wprior",
         "_wcdf",
-        "_bg",
         "_new_prefix",
         "_cols",
         "_fcol",
@@ -179,7 +181,6 @@ class SamplerState:
         "_nseg",
         "_seg_start",
         "_seg_width",
-        "_seg_prior",
         "_seg_cid",
         "_seg_count",
         "_seg_stamp",
@@ -204,17 +205,17 @@ class SamplerState:
             raise ValueError(
                 f"motifs narrower than wmin={hyper.wmin}: {short}; filter first"
             )
-        self._grand_total = np.sum([r.sum(axis=0) for r in raw], axis=0)
         # a column total of any core sum is at most the sum, over motifs, of
         # each motif's largest column total
         self.tables: GammaTables = tables_for(
-            hyper.alpha, sum(int(r.sum(axis=1).max()) for r in raw)
+            hyper.alpha, sum(int(r.sum(axis=1).max()) for r in raw), hyper.log_theta0
         )
         tables = self.tables
-        self._log_theta0 = hyper.log_theta0
-        self._dp = hyper.prior_kind is PriorKind.DP
         self._log_b = math.log(hyper.b)
         n = len(self.data)
+        # _logm[m]: log prior mass of a cluster of m members
+        dp = hyper.prior_kind is PriorKind.DP
+        self._logm = np.array([-math.inf] + [math.log(m) if dp else 0.0 for m in range(1, n + 1)])
         max_len = int(self.lengths.max())
         # every motif's column stack (plain totals) in one array, each one
         # followed by max_len zero columns so that a core of any width can be
@@ -225,22 +226,16 @@ class SamplerState:
         self._base = self._base_arr.tolist()
         self._flat = np.zeros((5, int(spans.sum())), dtype=np.int64)
         self._win = np.lib.stride_tricks.sliding_window_view(self._flat, max_len, axis=1)
-        # _bg[i][o, w]: background term of core [o, o + w), +inf where it
-        # does not fit; _new_prefix[i][j]: new-cluster weight of columns < j
-        self._bg = []
+        # _new_prefix[i][j]: new-cluster weight of columns < j
         self._new_prefix = []
         for base, r in zip(self._base, raw):
-            length = r.shape[0]
-            cols = self._flat[:, base : base + length]
+            cols = self._flat[:, base : base + r.shape[0]]
             cols[:4] = r.T
             cols[4] = r.sum(axis=1)
-            col_bg = self._log_theta0 @ cols[:4]
-            bg_prefix = np.concatenate([[0.0], np.cumsum(col_bg)])
-            ends = np.arange(length)[:, None] + np.arange(max_len + 1)
-            core_bg = bg_prefix[np.minimum(ends, length)] - bg_prefix[:length, None]
-            self._bg.append(np.where(ends <= length, core_bg, np.inf))
-            own = tables.column_marginals(tables.stack(r)) + tables.log_const - col_bg
+            own = tables.column_marginals(tables.stack(r)) + tables.log_const
             self._new_prefix.append(np.concatenate([[0.0], np.cumsum(own)]))
+        # every column scored by the background alone
+        self._null = float(hyper.log_theta0 @ self._flat[:4].sum(axis=1))
         self.z = np.zeros(n, dtype=np.int64)
         self.offsets = np.zeros(n, dtype=np.int64)
         self.updates = 0
@@ -268,7 +263,6 @@ class SamplerState:
         segments = n + int(self.lengths.sum()) + 1
         self._seg_start = np.zeros(segments, dtype=np.int64)
         self._seg_width = np.zeros(segments, dtype=np.int64)
-        self._seg_prior = np.zeros(segments)
         self._seg_cid = np.zeros(segments, dtype=np.int64)
         self._seg_count = np.zeros(segments, dtype=np.int64)
         self._seg_stamp = np.zeros(segments, dtype=np.int64)
@@ -306,13 +300,6 @@ class SamplerState:
         start = self._base[i] + offset
         return self._flat[:4, start : start + width].T
 
-    @property
-    def background(self) -> np.ndarray:
-        """Per-base counts outside the cores of attached motifs: the grand
-        total less every table column up to _ncols (retired columns hold
-        zeros; those past _ncols may hold stale data after a compaction)."""
-        return self._grand_total - np.add.reduce(self._cols[:4, : self._ncols], axis=1)
-
     def _groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per live cluster, in ascending id: the widest core every member
         can hold at its offset; then every motif grouped by cluster in
@@ -324,9 +311,6 @@ class SamplerState:
         sizes = labels.searchsorted(cids, side="right") - first
         room = (self.lengths - self.offsets)[members]
         return np.minimum.reduceat(room, first), members, sizes
-
-    def _log_mass(self, member_count: int) -> float:
-        return math.log(member_count) if self._dp else 0.0
 
     def _update(self, seg: int, op: np.ufunc, cols: np.ndarray) -> None:
         """Apply `op` (np.add or np.subtract) with the column stack `cols` to
@@ -356,7 +340,6 @@ class SamplerState:
             self._pos[start : start + width] = self._arange[:width]
             self._seg_start[seg] = start
             self._seg_width[seg] = width
-            self._seg_prior[seg] = self._log_mass(count)
             self._seg_cid[seg] = cid
             self._seg_count[seg] = count
             self._seg_of[cid] = seg
@@ -370,7 +353,6 @@ class SamplerState:
         start, width = int(self._seg_start[seg]), int(self._seg_width[seg])
         self._cols[:, start : start + width] = self._empty
         self._fcol[start : start + width] = 0.0
-        self._seg_prior[seg] = -np.inf
         self._seg_cid[seg] = -1
         self._seg_count[seg] = 0
         self._dead += width
@@ -396,7 +378,7 @@ class SamplerState:
         self._fcol[:m] = self._fcol[:n][keep]
         self._pos[:m] = self._pos[:n][keep]
         live = int(alive.sum())
-        for arr in (self._seg_width, self._seg_prior, self._seg_cid, self._seg_count, self._seg_stamp):
+        for arr in (self._seg_width, self._seg_cid, self._seg_count, self._seg_stamp):
             arr[:live] = arr[:k][alive]
         widths = self._seg_width[:live]
         self._seg_start[:live] = np.cumsum(widths) - widths
@@ -408,7 +390,8 @@ class SamplerState:
         """Column stack, as the table holds it, of these motifs' cores
         summed, each `width` columns wide at its current offset."""
         starts = [self._base[i] + int(self.offsets[i]) for i in members]
-        # _empty is a zero column stack: it adds `split` to the totals row
+        # _empty is a zero column stack: it adds each row's offset (see
+        # GammaTables.stack) to the plain counts of _flat
         cols = self._flat[:, starts[0] : starts[0] + width] + self._empty
         for at in starts[1:]:
             cols += self._flat[:, at : at + width]
@@ -427,8 +410,7 @@ class SamplerState:
         current offset, in segment seg, and count the member."""
         at = self._base[i] + int(self.offsets[i])
         self._update(seg, op, self._flat[:, at : at + int(self._seg_width[seg])])
-        self._seg_count[seg] = count = int(op(self._seg_count[seg], 1))
-        self._seg_prior[seg] = self._log_mass(count)
+        self._seg_count[seg] = op(self._seg_count[seg], 1)
 
     def attach(self, i: int, cid: int) -> None:
         """Add motif i's core (at its current offset) to cluster cid."""
@@ -449,19 +431,17 @@ class SamplerState:
     def audit(self) -> None:
         """Rebuild the cluster map, the per-segment arrays and the column
         table from z and the offsets; exact match required.  Live segments
-        are rebuilt and retired ones must be empty, which also checks the
-        background."""
+        are rebuilt and retired ones must be empty."""
         k = self._nseg
         cids, segs = list(self._seg_of), list(self._seg_of.values())
         if cids != sorted(set(self.z.tolist())) or not all(0 <= seg < k for seg in segs):
             raise AssertionError("cluster map out of sync with the labels")
         _, members, sizes = self._groups()
-        owner, count, prior = np.full(k, -1), np.zeros(k, dtype=np.int64), np.full(k, -np.inf)
+        owner, count = np.full(k, -1), np.zeros(k, dtype=np.int64)
         owner[segs], count[segs] = cids, sizes
-        prior[segs] = [self._log_mass(m) for m in sizes.tolist()]
-        for arr, rebuilt in ((self._seg_cid, owner), (self._seg_count, count), (self._seg_prior, prior)):
+        for arr, rebuilt in ((self._seg_cid, owner), (self._seg_count, count)):
             if not np.array_equal(arr[:k], rebuilt):
-                raise AssertionError("segment owners, member counts or prior masses out of sync")
+                raise AssertionError("segment owners or member counts out of sync")
         groups = dict(zip(cids, np.split(members, np.add.accumulate(sizes)[:-1])))
         start = dead = 0
         for seg in range(k):
@@ -513,17 +493,16 @@ class SamplerState:
     # ------------------------------------------------------------- densities
 
     def log_joint_fast(self) -> float:
-        """Joint log density from the incrementally-maintained statistics."""
-        lp = log_partition_prior(self.z.tolist(), self.hyper)
-        lp += float(self.background @ self._log_theta0)
-        # retired columns hold f = 0
-        lp += float(np.add.reduce(self._fcol[: self._ncols]))
+        """Joint log density from the incrementally-maintained statistics.
+        Its sums are exactly rounded (math.fsum), so a state scores the same
+        bits whatever the order of its segments in the table."""
+        lp = log_partition_prior(self.z.tolist(), self.hyper) + self._null
+        # retired columns score 0
+        lp += math.fsum(self._fcol[: self._ncols].tolist())
         lp += (self._ncols - self._dead) * self.tables.log_const
-        # per cluster, in ascending cid order
         top = self._groups()[0]
         widths = self._seg_width[list(self._seg_of.values())]
-        lp += float(np.add.reduce(self._wprior[top, widths]))
-        return lp
+        return lp + math.fsum(self._wprior[top, widths].tolist())
 
     def snapshot(self, iteration: int, log_joint: float) -> Snapshot:
         labels = self.z.tolist()
@@ -587,14 +566,15 @@ def _new_width(state: SamplerState, length: int, rng: np.random.Generator) -> in
 def _assignment_weights(state: SamplerState, i: int) -> np.ndarray:
     """Unnormalized log weights of motif i, held out of its own cluster,
     joining each segment of the column table (in table order), then of
-    opening a new cluster scored on its current core extent.  Retired
-    segments, clusters too wide for the motif's offset, and the motif's own
-    cluster when it is the only member get weight -inf."""
+    opening a new cluster scored on its current core extent.  Each weight
+    is a prior mass plus the change in the table scores, which already
+    count the background of the columns a core covers.  Retired segments,
+    clusters too wide for the motif's offset, and the motif's own cluster
+    when it is the only member get weight -inf."""
     seg = state._seg_of[int(state.z[i])]
     start, w = int(state._seg_start[seg]), int(state._seg_width[seg])
     o = int(state.offsets[i])
     n, k = state._ncols, state._nseg
-    bg = state._bg[i][o]
     # the motif's columns against every table column; subtracted on its own
     # segment, so that segment evaluates the other members without it
     motif = state._win[:, state._base[i] + o].take(state._pos[:n], axis=1)
@@ -607,9 +587,9 @@ def _assignment_weights(state: SamplerState, i: int) -> np.ndarray:
     joins = logw[:k]
     np.add.reduceat(gain, state._seg_start[:k], out=joins)
     leave = logw[seg]
-    np.add(joins, state._seg_prior[:k] - bg[state._seg_width[:k]], out=joins)
-    others = int(state._seg_count[seg]) - 1
-    logw[seg] = -leave + state._log_mass(others) - bg[w] if others else -np.inf
+    np.add(joins, state._logm[state._seg_count[:k]], out=joins)
+    np.putmask(joins, state._seg_width[:k] > int(state.lengths[i]) - o, -np.inf)
+    logw[seg] = state._logm[state._seg_count[seg] - 1] - leave
     new_prefix = state._new_prefix[i]
     logw[k] = state._log_b + new_prefix[o + w] - new_prefix[o]
     return logw
@@ -659,8 +639,9 @@ def resample_assignment(state: SamplerState, i: int, rng: np.random.Generator) -
 def _alignment_weights(state: SamplerState, i: int) -> np.ndarray:
     """Unnormalized log weight of every offset of motif i's core within its
     cluster of width w: the join predictive against the other members (for
-    singletons, the fresh-cluster marginal) minus the background term of
-    the columns it displaces.  Scores all L - w + 1 offsets at once."""
+    singletons, the fresh-cluster marginal) less the background of the
+    columns it covers, as the table scores give it.  Scores all L - w + 1
+    offsets at once."""
     tables = state.tables
     seg = state._seg_of[int(state.z[i])]
     start, w = int(state._seg_start[seg]), int(state._seg_width[seg])
@@ -670,7 +651,7 @@ def _alignment_weights(state: SamplerState, i: int) -> np.ndarray:
     rest = state._cols[:, start : start + w] - state._flat[:, at : at + w]
     windows = state._win[:, base : base + length - w + 1, :w]
     gain = tables.column_marginals(windows + rest[:, None, :]) - tables.column_marginals(rest)
-    return gain.sum(axis=1) - state._bg[i][: length - w + 1, w]
+    return gain.sum(axis=1)
 
 
 def resample_alignment(state: SamplerState, i: int, rng: np.random.Generator) -> None:
@@ -728,9 +709,8 @@ def _width_weights(state: SamplerState) -> tuple[np.ndarray, np.ndarray | None, 
     span = int(top.max())
     windows = state._win[:, state._base_arr[members] + state.offsets[members], :span]
     sums = np.add.reduceat(windows, np.add.accumulate(sizes) - sizes, axis=1)
-    sums[4] += tables.split
-    col_bg = (state._log_theta0 @ sums[:4].reshape(4, -1)).reshape(len(rows), span)
-    col = tables.column_marginals(sums) + tables.log_const - col_bg
+    sums += state._empty[:, None]
+    col = tables.column_marginals(sums) + tables.log_const
     logw = np.add.accumulate(col, axis=1)[:, wmin - 1 :] + state._wprior[top, wmin : span + 1]
     return segs, logw, sums
 

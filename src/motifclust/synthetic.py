@@ -111,59 +111,3 @@ def planted_motif_groups(
         profiles=profiles,
         core_width=core_width,
     )
-
-
-def shifted_core_collection(
-    n_families: int = 5,
-    anchors_per_family: int = 3,
-    core_width: int = 8,
-    length: int = 12,
-    sites: int = 20,
-    peak: float = 0.9,
-    seed: int = 0,
-    shifts: tuple[int, ...] | None = None,
-    id_prefix: str = "shift",
-) -> PlantedTruth:
-    """Families of same-profile motifs where one member per family carries
-    the core at a known shift.
-
-    Each family holds `anchors_per_family` trimmed members whose matrix is
-    exactly the core (no flank slack, so a single feasible placement) plus
-    one full-length member with the core planted `shifts[f]` columns in.
-    The trimmed members pin the family's absolute frame; the full-length
-    member's offset against that frame is the planted shift.  By default
-    shift f equals the family index, covering 0 .. n_families-1.
-    """
-    slack = length - core_width
-    if shifts is None:
-        shifts = tuple(range(n_families))
-    if len(shifts) != n_families:
-        raise ValueError("shifts must list one value per family")
-    if any(s < 0 or s > slack for s in shifts):
-        raise ValueError("shifts must keep the core inside the matrix")
-    rng = np.random.default_rng(seed)
-    records: list[MotifRecord] = []
-    z_vals: list[int] = []
-    offsets: list[int] = []
-    profiles: list[np.ndarray] = []
-    for f in range(n_families):
-        profile = random_profile(core_width, rng, peak)
-        profiles.append(profile)
-        for k in range(anchors_per_family):
-            rows = sample_motif(profile, core_width, 0, sites, rng)
-            records.append(
-                MotifRecord(id=f"{id_prefix}_f{f}a{k}", matrix=CountMatrix(rows))
-            )
-            z_vals.append(f)
-            offsets.append(0)
-        rows = sample_motif(profile, length, shifts[f], sites, rng)
-        records.append(MotifRecord(id=f"{id_prefix}_f{f}s", matrix=CountMatrix(rows)))
-        z_vals.append(f)
-        offsets.append(shifts[f])
-    return PlantedTruth(
-        records=records,
-        z=np.asarray(z_vals, dtype=np.int64),
-        offsets=np.asarray(offsets, dtype=np.int64),
-        profiles=profiles,
-        core_width=core_width,
-    )

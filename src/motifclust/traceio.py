@@ -57,12 +57,24 @@ def _snapshot_dict(snap: Snapshot) -> dict:
     }
 
 
+def _field(rec: dict, key: str, *types: type):
+    """rec[key], which JSON must have decoded to one of these types."""
+    if type(rec) is not dict:
+        raise TypeError("record is not a JSON object")
+    if type(value := rec[key]) not in types:
+        raise TypeError(f"field {key!r} holds {value!r:.40}")
+    return value
+
+
 def _snapshot_from(rec: dict, n: int, path: str | Path, what: str) -> Snapshot:
     """The snapshot in `rec`, which must hold n labels and n offsets, the
     labels canonical and one width per cluster; else a TraceFormatError
-    names the file and `what` the record is."""
-    z, offsets, widths = rec["z"], rec["offsets"], rec["widths"]
-    first = list(dict.fromkeys(z))
+    names the file and `what` the record is.  Fields of the wrong type
+    raise TypeError."""
+    z, offsets, widths = (np.asarray(_field(rec, key, list)) for key in ("z", "offsets", "widths"))
+    if any(a.ndim != 1 or a.size and a.dtype.kind != "i" for a in (z, offsets, widths)):
+        raise TypeError(f"{what}: labels, offsets and widths must be lists of integers")
+    first = list(dict.fromkeys(z.tolist()))
     if len(z) != n or len(offsets) != n:
         fault = f"{len(z)} labels and {len(offsets)} offsets for {n} motif ids"
     elif first != list(range(len(first))):
@@ -71,11 +83,11 @@ def _snapshot_from(rec: dict, n: int, path: str | Path, what: str) -> Snapshot:
         fault = f"{len(widths)} widths for {len(first)} clusters"
     else:
         return Snapshot(
-            iteration=int(rec["iteration"]),
-            log_joint=float(rec["log_joint"]),
-            z=np.asarray(z, dtype=np.int64),
-            offsets=np.asarray(offsets, dtype=np.int64),
-            widths=np.asarray(widths, dtype=np.int64),
+            iteration=_field(rec, "iteration", int),
+            log_joint=float(_field(rec, "log_joint", int, float)),
+            z=z.astype(np.int64, copy=False),
+            offsets=offsets.astype(np.int64, copy=False),
+            widths=widths.astype(np.int64, copy=False),
         )
     raise TraceFormatError(f"{path}: {what}: {fault}")
 
@@ -155,53 +167,66 @@ def load_trace(path: str | Path) -> RunTrace:
     Fails with TraceFormatError on a missing or foreign header, an
     unsupported version, a missing or repeated iteration record, a record
     of unknown kind, a repeated best record or any record after it, a
-    truncated file (no best record), or a snapshot (the header's initial
-    state included) that does not fit the header's motif ids.
+    truncated file (no best record), a snapshot (the header's initial state
+    included) that does not fit the header's motif ids, or a line that is
+    not a JSON record or lacks a field or holds one of the wrong type (the
+    error then names the line).
     """
-    lines = [line for line in _read_text(Path(path)).splitlines() if line]
-    if not lines:
+    numbered = [(k, line) for k, line in enumerate(_read_text(Path(path)).splitlines(), 1) if line]
+    if not numbered:
         raise TraceFormatError(f"{path}: empty trace file")
-    header = json.loads(lines[0])
-    if header.get("kind") != "header" or header.get("format") != TRACE_FORMAT:
-        raise TraceFormatError(f"{path}: not a {TRACE_FORMAT} file")
-    if header.get("version") != TRACE_VERSION:
-        raise TraceFormatError(
-            f"{path}: version {header.get('version')!r} not supported "
-            f"(this reader handles version {TRACE_VERSION})"
-        )
-    config = settings_from(RunConfig, header["config"])
-    hyper = settings_from(Hyperparameters, header["hyper"])
-    ids = list(header["ids"])
-    initial = _snapshot_from(header["initial"], len(ids), path, "header initial state")
-    log_joint = np.empty(config.iterations)
-    n_clusters = np.empty(config.iterations, dtype=np.int64)
-    seen = np.zeros(config.iterations, dtype=bool)
-    snapshots: list[Snapshot] = []
-    best: Snapshot | None = None
-    for line in lines[1:]:
-        rec = json.loads(line)
-        kind = rec.get("kind")
-        if kind not in ("iter", "snapshot", "best"):
-            raise TraceFormatError(f"{path}: unknown record kind {kind!r}")
-        if best is not None:
+    k = numbered[0][0]
+    try:
+        header = json.loads(numbered[0][1])
+        if type(header) is not dict or (header.get("kind"), header.get("format")) != ("header", TRACE_FORMAT):
+            raise TraceFormatError(f"{path}: not a {TRACE_FORMAT} file")
+        if header.get("version") != TRACE_VERSION:
             raise TraceFormatError(
-                f"{path}: repeated best record"
-                if kind == "best"
-                else f"{path}: {kind} record after the best record"
+                f"{path}: version {header.get('version')!r} not supported "
+                f"(this reader handles version {TRACE_VERSION})"
             )
-        if kind == "iter":
-            t = rec["t"]
-            if not 1 <= t <= config.iterations:
-                raise TraceFormatError(f"{path}: iteration {t} out of range")
-            if seen[t - 1]:
-                raise TraceFormatError(f"{path}: repeated iteration {t}")
-            seen[t - 1] = True
-            log_joint[t - 1] = rec["log_joint"]
-            n_clusters[t - 1] = rec["n_clusters"]
-        elif kind == "snapshot":
-            snapshots.append(_snapshot_from(rec, len(ids), path, "snapshot record"))
-        else:
-            best = _snapshot_from(rec, len(ids), path, "best record")
+        config = settings_from(RunConfig, _field(header, "config", dict))
+        hyper = settings_from(Hyperparameters, _field(header, "hyper", dict))
+        ids = _field(header, "ids", list)
+        if not all(type(x) is str for x in ids):
+            raise TypeError("field 'ids' holds a motif id that is not a string")
+        initial = _snapshot_from(_field(header, "initial", dict), len(ids), path, "header initial state")
+        log_joint = np.empty(config.iterations)
+        n_clusters = np.empty(config.iterations, dtype=np.int64)
+        seen = np.zeros(config.iterations, dtype=bool)
+        snapshots: list[Snapshot] = []
+        best: Snapshot | None = None
+        for k, line in numbered[1:]:
+            kind = _field(rec := json.loads(line), "kind", str)
+            if kind not in ("iter", "snapshot", "best"):
+                raise TraceFormatError(f"{path}: unknown record kind {kind!r}")
+            if best is not None:
+                raise TraceFormatError(
+                    f"{path}: repeated best record"
+                    if kind == "best"
+                    else f"{path}: {kind} record after the best record"
+                )
+            if kind == "iter":
+                t = _field(rec, "t", int)
+                if not 1 <= t <= config.iterations:
+                    raise TraceFormatError(f"{path}: iteration {t} out of range")
+                if seen[t - 1]:
+                    raise TraceFormatError(f"{path}: repeated iteration {t}")
+                seen[t - 1] = True
+                log_joint[t - 1] = _field(rec, "log_joint", int, float)
+                n_clusters[t - 1] = _field(rec, "n_clusters", int)
+            elif kind == "snapshot":
+                snapshots.append(_snapshot_from(rec, len(ids), path, "snapshot record"))
+            else:
+                best = _snapshot_from(rec, len(ids), path, "best record")
+    except TraceFormatError:
+        raise
+    except json.JSONDecodeError as exc:
+        raise TraceFormatError(f"{path}: line {k}: not valid JSON: {exc.msg} (character {exc.pos + 1})") from None
+    except KeyError as exc:
+        raise TraceFormatError(f"{path}: line {k}: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise TraceFormatError(f"{path}: line {k}: {exc}") from None
     if not seen.all():
         raise TraceFormatError(
             f"{path}: {int(seen.sum())} iteration records, expected {config.iterations}"

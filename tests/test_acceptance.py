@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from conftest import MA0011_JASPAR, ma0011_counts
+from conftest import MA0011_JASPAR, ma0011_counts, shifted_core_collection
 from motifclust.cli import entry
 from motifclust.kernels import (
     ClusterStats,
@@ -30,7 +30,7 @@ from motifclust.parsers import parse_jaspar, write_jaspar
 from motifclust.priorsim import PriorSimConfig, iter_set_partitions, run_prior_sim
 from motifclust.sampler import RunConfig, run
 from motifclust.summaries import pairwise_probabilities
-from motifclust.synthetic import planted_motif_groups, shifted_core_collection
+from motifclust.synthetic import planted_motif_groups
 from motifclust.traceio import trace_bytes
 
 RESULTS: list[tuple[int, str, str]] = []

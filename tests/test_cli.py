@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import io
 import json
 import multiprocessing
@@ -478,6 +479,30 @@ class TestSummarize:
         err = capsys.readouterr().err
         assert err.count("warning") == 1 and motif_file.name in err
         assert tree_of(out) == before
+
+    @pytest.mark.parametrize(
+        "damaged, named",
+        [
+            ("trace", "trace_chain00.jsonl: line 2: field 't' holds 'one'"),
+            ("manifest", "manifest.json: missing key 'outputs'"),
+        ],
+        ids=["trace", "manifest"],
+    )
+    def test_damaged_trace_or_manifest_named(self, motif_file, tmp_path, capsys, damaged, named):
+        out = self.run_once(motif_file, tmp_path)
+        manifest = json.loads((out / "manifest.json").read_text())
+        if damaged == "trace":
+            path = out / "trace_chain00.jsonl"
+            lines = path.read_text().splitlines()
+            lines[1] = json.dumps({**json.loads(lines[1]), "t": "one"})
+            path.write_text("\n".join(lines) + "\n")
+            # re-pinned, so that the damage gets past the digest check
+            manifest["digests"][path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        else:
+            del manifest["outputs"]
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert entry(["summarize", "--out", str(out)]) == 3
+        assert named in capsys.readouterr().err
 
     def test_missing_manifest(self, tmp_path, capsys):
         out = tmp_path / "nothing"

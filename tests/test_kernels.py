@@ -429,10 +429,18 @@ def test_tables_grow_by_handing_out_larger_ones():
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.5])
 def test_tables_match_scipy_gammaln(alpha):
-    t = GammaTables(alpha)
-    v = np.arange(t.split, dtype=float)
-    expected = np.concatenate([gammaln(v + alpha), -gammaln(v + 4 * alpha)])
-    np.testing.assert_allclose(t.lut, expected, rtol=1e-14, atol=0)
+    col = np.array([[3, 0, 5, 1]])
+    marginal = float(gammaln(col + alpha).sum() - gammaln(9 + 4 * alpha))
+    # the plain tables, then tables that score columns against a background
+    for log_theta0 in [(0.0,) * 4, tuple(np.log([0.4, 0.1, 0.1, 0.4]))]:
+        t = GammaTables(alpha, log_theta0=log_theta0)
+        v = np.arange(t.split, dtype=float)
+        bases = [gammaln(v + alpha) - v * b for b in log_theta0]
+        expected = np.concatenate(bases + [-gammaln(v + 4 * alpha)])
+        np.testing.assert_allclose(t.lut, expected, rtol=1e-14, atol=0)
+        assert t.log_dm_matrix(col) - t.log_const == pytest.approx(
+            marginal - float(col[0] @ np.asarray(log_theta0)), rel=1e-14, abs=0
+        )
     assert t.log_const == pytest.approx(
         float(gammaln(4 * alpha) - 4 * gammaln(alpha)), rel=1e-14, abs=0
     )

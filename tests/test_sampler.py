@@ -1,13 +1,17 @@
 import collections
 import hashlib
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import shifted_core_collection
 from motifclust import CountMatrix, MotifRecord, sampler
+from motifclust.cli import _chain_seeds
 from motifclust.kernels import (
     ClusterStats,
     GammaTables,
@@ -39,7 +43,7 @@ from motifclust.sampler import (
     run,
     state_from_snapshot,
 )
-from motifclust.synthetic import planted_motif_groups, shifted_core_collection
+from motifclust.synthetic import planted_motif_groups
 
 
 def _categorical(logw, rng):
@@ -51,10 +55,10 @@ def _categorical(logw, rng):
 
 def core_counts(state, cid):
     """Cluster cid's summed core counts (width x 4), read from the column
-    table."""
+    table less its row offsets."""
     seg = state._seg_of[cid]
     start = int(state._seg_start[seg])
-    return state._cols[:4, start : start + int(state._seg_width[seg])].T
+    return (state._cols[:4, start : start + int(state._seg_width[seg])] - state._empty[:4]).T
 
 
 def rec(rec_id, rows):
@@ -131,7 +135,7 @@ class TestMembershipConditional:
         state, _ = two_identical_state()
         z_before = state.z.copy()
         off_before = state.offsets.copy()
-        bg_before = state.background.copy()
+        cols_before = state._cols[:, : state._ncols].copy()
         stats_before = {
             cid: (
                 cl.stats.width,
@@ -145,7 +149,7 @@ class TestMembershipConditional:
         membership_probability(state, 1)
         assert np.array_equal(state.z, z_before)
         assert np.array_equal(state.offsets, off_before)
-        assert np.array_equal(state.background, bg_before)
+        assert np.array_equal(state._cols[:, : state._ncols], cols_before)
         assert set(state.clusters) == set(stats_before)
         for cid, (w, counts, m, logm) in stats_before.items():
             cl = state.clusters[cid]
@@ -604,6 +608,7 @@ def random_state_and_ops(draw):
         b=draw(st.sampled_from([0.5, 1.0, 2.0])),
         lam=3.0,
         wmin=2,
+        theta0=draw(st.sampled_from([(0.25,) * 4, (0.4, 0.1, 0.1, 0.4)])),
         prior_kind=draw(st.sampled_from([PriorKind.DP, PriorKind.UNIFORM])),
     )
     lengths = [draw(st.integers(2, 6)) for _ in range(n)]
@@ -622,6 +627,26 @@ class TestStressInvariants:
         raw = [r.matrix.counts for r in state.data]
         ref = log_joint_from_arrays(state.z, state.offsets, widths, raw, state.hyper)
         assert state.log_joint_fast() == pytest.approx(ref, abs=1e-9)
+
+
+class TestLayoutFreeJoint:
+    def test_a_state_scores_the_same_in_any_table_layout(self):
+        # the rebuilt state holds the same clusters in canonical order, with
+        # no retired segments between them; summed in table order, the two
+        # scores often differ in their last bits
+        data = planted_motif_groups(
+            n_groups=3, members=4, core_width=6, length=10, sites=20, peak=0.6, seed=0
+        ).records
+        hyper = Hyperparameters(alpha=1.0, b=1.0, lam=6.0, wmin=4, theta0=(0.4, 0.1, 0.1, 0.4))
+        rng = np.random.default_rng(3)
+        state = init_state(data, hyper, rng)
+        for t in range(30):
+            for i in range(state.n_motifs()):
+                resample_assignment(state, i, rng)
+                resample_alignment(state, i, rng)
+            resample_width(state, rng)
+            rebuilt = state_from_snapshot(data, hyper, state.snapshot(t, 0.0))
+            assert rebuilt.log_joint_fast() == state.log_joint_fast(), t
 
 
 def _swept_state(case):
@@ -755,14 +780,13 @@ class TestColumnTableAudit:
             lambda s, seg: s._cols.__setitem__((4, s._seg_start[seg]), s._cols[4, s._seg_start[seg]] + 1),
             lambda s, seg: s._fcol.__setitem__(s._seg_start[seg], s._fcol[s._seg_start[seg]] + 1e-12),
             lambda s, seg: s._pos.__setitem__(s._seg_start[seg], s._pos[s._seg_start[seg]] + 1),
-            lambda s, seg: s._seg_prior.__setitem__(seg, s._seg_prior[seg] + 1.0),
             lambda s, seg: s._seg_start.__setitem__(seg, s._seg_start[seg] + 1),
             lambda s, seg: setattr(s, "_dead", s._dead + 1),
             lambda s, seg: s._seg_cid.__setitem__(seg, s._seg_cid[seg] + 1),
             lambda s, seg: s._seg_count.__setitem__(seg, s._seg_count[seg] + 1),
             lambda s, seg: s._seg_of.__setitem__(int(s._seg_cid[seg]), (seg + 1) % s._nseg),
         ],
-        ids=["counts", "totals", "marginal", "position", "prior", "segment-map", "dead",
+        ids=["counts", "totals", "marginal", "position", "segment-map", "dead",
              "cluster-id", "member-count", "cluster-map"],
     )
     def test_audit_rebuilds_and_compares_column_table(self, corrupt):
@@ -798,15 +822,16 @@ class TestColumnTableAudit:
         rng = np.random.default_rng(2)
         state = init_state(data, hyper, rng)
         n = state.n_motifs()
-        total = sum(r.matrix.counts.sum(axis=0) for r in data)
+        raw = [r.matrix.counts for r in data]
         seen = set()
 
+        # the background of the columns outside every core is no array of
+        # its own: the joint recomputed from scratch checks the table scores
         def check():
-            expected = total.copy()
-            for i in range(n):
-                w = state.clusters[int(state.z[i])].stats.width
-                expected -= state.core(i, int(state.offsets[i]), w).sum(axis=0)
-            assert np.array_equal(state.background, expected)
+            state.audit()
+            widths = {cid: cl.stats.width for cid, cl in state.clusters.items()}
+            ref = log_joint_from_arrays(state.z, state.offsets, widths, raw, hyper)
+            assert state.log_joint_fast() == pytest.approx(ref, rel=0, abs=1e-9)
 
         for _ in range(40):
             for i in range(n):
@@ -1155,7 +1180,7 @@ class TestPinnedTrajectory:
     @pytest.mark.parametrize(
         "prior, align_every, pin",
         [
-            (PriorKind.DP, 10, "59a137b9d3ade0e559837d7e0f498b9e621062deef30b30667e759c5b1d31689"),
+            (PriorKind.DP, 10, "6e3c06c6a17d531e888761ff5d075b3e8da68d45074afb9743834d53d3c42aa4"),
             (PriorKind.UNIFORM, 1, "43dfe9484b089d2824e01b90c7ae136147dc0de71b6ed8fe7d70e3f9d7cd2efb"),
         ],
         ids=["dp", "uniform"],
@@ -1217,3 +1242,38 @@ class TestGewekeWidthMove:
                 np.sqrt(exact * (1 - exact) / self.STEPS),
             )
             assert np.all(np.abs(freq - exact) <= 5 * se), (c, freq, exact, se)
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+class TestKnownMixingFailure:
+    """The benchmark's shifted input at seed 17, run as `cluster --seed 17`
+    with the shifted-2chains flags.  Its groups 0 and 1 have cores AAGCAGCC
+    and ACAGCAGC, which agree on 6 columns under a 1-column shift.  The
+    separated planted state scores -25645.29, above the best state of
+    either chain, yet the best state merges members of both groups: the
+    chains do not mix out of the merge, which the model does not prefer."""
+
+    @pytest.mark.xfail(strict=True, reason="the sampler stays in a merge of two planted groups")
+    def test_best_state_separates_the_planted_groups(self):
+        col = load_workloads().shifted_groups(17)
+        data = [MotifRecord(id=k, matrix=CountMatrix(m)) for k, m in col.counts.items()]
+        hyper = Hyperparameters(prior_kind=PriorKind.UNIFORM)
+        traces = [
+            run(data, hyper, RunConfig(iterations=500, align_every=1, seed=seed))
+            for seed in _chain_seeds(17, 2)
+        ]
+        best = max(traces, key=lambda t: t.best.log_joint).best
+        group_of = {m: g for g, members in enumerate(col.groups) for m in members}
+        groups = collections.defaultdict(set)
+        for rec_id, lab in zip(col.counts, best.z.tolist()):
+            groups[lab].add(group_of[rec_id])
+        assert all(len(g) == 1 for g in groups.values()), dict(groups)

@@ -296,6 +296,28 @@ class TestFormatGuards:
         with pytest.raises(TraceFormatError, match=f"c.jsonl: {message}"):
             load_trace(path)
 
+    @pytest.mark.parametrize(
+        "kind, fault, message",
+        [
+            ("snapshot", lambda line: line[:10], "not valid JSON: Unterminated string"),
+            ("header", lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "config"}),
+             "missing field 'config'"),
+            ("iter", lambda line: json.dumps({**json.loads(line), "t": "one"}),
+             "field 't' holds 'one'"),
+            ("best", lambda line: json.dumps({**json.loads(line), "offsets": [0.5] * 4}),
+             "best record: labels, offsets and widths must be lists of integers"),
+        ],
+        ids=["undecodable", "missing-field", "typed-field", "typed-list"],
+    )
+    def test_damaged_line_named(self, tmp_path, kind, fault, message):
+        path = save_trace(small_trace(), tmp_path / "c.jsonl")
+        lines = path.read_text().splitlines()
+        k = next(k for k, ln in enumerate(lines) if json.loads(ln)["kind"] == kind)
+        lines[k] = fault(lines[k])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceFormatError, match=f"c.jsonl: line {k + 1}: {message}"):
+            load_trace(path)
+
     def test_corrupt_gzip_is_distinguishable(self, tmp_path):
         path = tmp_path / "c.jsonl.gz"
         path.write_bytes(b"not gzip at all")
