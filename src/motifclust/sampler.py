@@ -112,23 +112,35 @@ class SamplerState:
     """Mutable sampler state bound to its data and hyperparameters.
 
     The summed core counts of every cluster live in one column table: a
-    (5, capacity) column stack (see GammaTables.stack) in which each cluster
-    owns a contiguous segment of `width` columns, next to the score of each
-    column against the background (the tables are built on theta0).  A new
-    cluster, or one whose width changes, gets a segment appended at the
-    end; the segment it leaves is retired (zero counts and scores, member
-    count 0).  Before an append, the table is compacted if retired columns
-    outnumber live ones; live columns never exceed the summed motif lengths,
-    so the table has a fixed capacity.
+    (5, capacity) column stack (see GammaTables.stack) next to the score of
+    each column against the background (the tables are built on theta0).
+    Each cluster owns a contiguous segment of `top` columns, its members'
+    cores summed as wide as every member can hold at its offset (top is
+    the smallest room L - o among them); its width w <= top only says how
+    many of them are scored.  A width change therefore writes no column.
+    A new cluster, or one whose top changes, gets a segment appended at
+    the end; the segment it leaves is retired (zero counts and scores,
+    member count 0).  Every assignment update scans the retired columns
+    too, so before an append the table is compacted once they number more
+    than 64 (on collection-106, about where a compaction costs what the
+    scans it saves cost) or more than the live ones; live columns never
+    exceed the summed motif lengths, so the table has a fixed capacity.
 
     The rest of each cluster sits in per-segment arrays, in table order:
-    start, width, cluster id (-1 once retired), member count and the stamp
-    below.  A segment's log prior mass is `_logm` at its member count (log m
-    under the DP, 0 under the uniform prior, -inf at 0, so once retired).
-    `_seg_of` maps each live cluster id to its segment, in ascending id
-    order (ids only grow, and a relocated cluster keeps its place).  Member
-    lists come from `z`, grouped by one stable argsort.  `clusters` is a
-    read-only view of all this; no move reads it.
+    start, top, width, cluster id (-1 once retired), member count, the
+    stamp below and the scan counter.  A segment's log prior mass is
+    `_logm` at its member count (log m under the DP, 0 under the uniform
+    prior, -inf at 0, so once retired).  `_seg_of` maps each live cluster
+    id to its segment, in ascending id order (ids only grow, and a
+    relocated cluster keeps its place).  Member lists come from `z`.
+    `clusters` is a read-only view of all this; no move reads it.
+
+    The assignment conditional lists the live clusters in scan order:
+    ascending `_seg_seq`, the clock value at which the cluster was opened
+    or last took a new width.  A table that appended a segment at each of
+    those events would hold its clusters in that order, and the draws are
+    defined on it; a segment moved only because its top changed keeps its
+    counter.
 
     The table is the only copy of the cluster counts: moves update it and
     nothing else.  The columns outside every core need no copy: the joint
@@ -140,15 +152,15 @@ class SamplerState:
     GammaTables.column_marginals); a column-major stack makes that reduce,
     most of an assignment update, about 6x slower.
 
-    Every write to the table or the segment map advances the mutation clock
-    `_clock`, and every segment written carries the clock value of its last
-    write in `_seg_stamp` (unique across segments; compaction carries it
-    along).  The moves memoise their conditionals against these: per motif
-    one alignment CDF keyed on its segment's stamp and one assignment CDF
-    keyed on the clock, plus the width sweep's last evaluation, also keyed
-    on the clock.  A memo whose key is current is the conditional a fresh
-    evaluation would give, bit for bit (audit checks this), so a hit only
-    skips the arithmetic, never changes a draw.
+    Every write to the table, the segment map or a width advances the
+    mutation clock `_clock`, and every segment written carries the clock
+    value of its last write in `_seg_stamp` (unique across segments;
+    compaction carries it along).  The moves memoise their conditionals
+    against these: per motif one alignment CDF keyed on its segment's stamp
+    and one assignment CDF keyed on the clock, plus the width sweep's last
+    evaluation, also keyed on the clock.  A memo whose key is current is
+    the conditional a fresh evaluation would give, bit for bit (audit
+    checks this), so a hit only skips the arithmetic, never changes a draw.
     """
 
     __slots__ = (
@@ -165,6 +177,7 @@ class SamplerState:
         "_logm",
         "_log_b",
         "_flat",
+        "_fflat",
         "_base",
         "_base_arr",
         "_win",
@@ -179,12 +192,16 @@ class SamplerState:
         "_ncols",
         "_dead",
         "_nseg",
+        "_seg_bounds",
         "_seg_start",
+        "_seg_top",
         "_seg_width",
         "_seg_cid",
         "_seg_count",
         "_seg_stamp",
+        "_seg_seq",
         "_seg_of",
+        "_scan",
         "_clock",
         "_views",
         "_align_memo",
@@ -226,14 +243,18 @@ class SamplerState:
         self._base = self._base_arr.tolist()
         self._flat = np.zeros((5, int(spans.sum())), dtype=np.int64)
         self._win = np.lib.stride_tricks.sliding_window_view(self._flat, max_len, axis=1)
-        # _new_prefix[i][j]: new-cluster weight of columns < j
-        self._new_prefix = []
         for base, r in zip(self._base, raw):
             cols = self._flat[:, base : base + r.shape[0]]
             cols[:4] = r.T
             cols[4] = r.sum(axis=1)
-            own = tables.column_marginals(tables.stack(r)) + tables.log_const
-            self._new_prefix.append(np.concatenate([[0.0], np.cumsum(own)]))
+        self._empty = tables.stack(np.zeros((1, 4), dtype=np.int64))
+        # _fflat[j]: the score of _flat's column j alone, which a singleton's
+        # segment copies; _new_prefix[i][j]: new-cluster weight of columns < j
+        self._fflat = tables.column_marginals(self._flat + self._empty)
+        self._new_prefix = [
+            np.concatenate([[0.0], np.cumsum(self._fflat[base : base + length] + tables.log_const)])
+            for base, length in zip(self._base, self.lengths.tolist())
+        ]
         # every column scored by the background alone
         self._null = float(hyper.log_theta0 @ self._flat[:4].sum(axis=1))
         self.z = np.zeros(n, dtype=np.int64)
@@ -246,7 +267,6 @@ class SamplerState:
         self._cols = np.zeros((5, capacity), dtype=np.int64)
         self._fcol = np.zeros(capacity)
         self._pos = np.zeros(capacity, dtype=np.int64)
-        self._empty = tables.stack(np.zeros((1, 4), dtype=np.int64))
         self._arange = np.arange(max_len + 1)
         # _wprior[top, w]: log_width_probs(hyper, top) at w, -inf off wmin..top;
         # _wcdf[top]: its unnormalised CDF (see _cdf), which a new cluster on
@@ -261,19 +281,26 @@ class SamplerState:
         self._dead = 0
         self._nseg = 0
         segments = n + int(self.lengths.sum()) + 1
-        self._seg_start = np.zeros(segments, dtype=np.int64)
+        # _seg_bounds[s]: start and end of segment s's scored columns, the
+        # reduceat bounds of the assignment weights
+        self._seg_bounds = np.zeros((segments, 2), dtype=np.int64)
+        self._seg_start = self._seg_bounds[:, 0]
+        self._seg_top = np.zeros(segments, dtype=np.int64)
         self._seg_width = np.zeros(segments, dtype=np.int64)
         self._seg_cid = np.zeros(segments, dtype=np.int64)
         self._seg_count = np.zeros(segments, dtype=np.int64)
         self._seg_stamp = np.zeros(segments, dtype=np.int64)
+        self._seg_seq = np.zeros(segments, dtype=np.int64)
         self._seg_of: dict[int, int] = {}
+        # the scan order until the layout changes; see _scan_order
+        self._scan: np.ndarray | None = None
         self._clock = 0
         self._views: tuple[int, Mapping[int, ClusterView]] = (-1, {})
-        # (key, CDF) per motif, and (key, segments, CDF, sums) of the width
-        # sweep; key -1 never matches
+        # (key, CDF) per motif, and (key, segments, CDF) of the width sweep;
+        # key -1 never matches
         self._align_memo: list[tuple[int, np.ndarray | None]] = [(-1, None)] * n
         self._assign_memo: list[tuple[int, np.ndarray | None]] = [(-1, None)] * n
-        self._width_memo: tuple = (-1, None, None, None)
+        self._width_memo: tuple = (-1, None, None)
 
     # ------------------------------------------------------------ bookkeeping
 
@@ -312,6 +339,13 @@ class SamplerState:
         room = (self.lengths - self.offsets)[members]
         return np.minimum.reduceat(room, first), members, sizes
 
+    def _top(self, members) -> int:
+        """The widest core every one of these motifs can hold at its offset."""
+        return int(np.minimum.reduce(self.lengths[members] - self.offsets[members]))
+
+    def _members(self, cid: int) -> np.ndarray:
+        return (self.z == cid).nonzero()[0]
+
     def _update(self, seg: int, op: np.ufunc, cols: np.ndarray) -> None:
         """Apply `op` (np.add or np.subtract) with the column stack `cols` to
         the columns of segment `seg`, in place, refresh their marginals and
@@ -326,65 +360,106 @@ class SamplerState:
         op(span, cols, out=span)
         self._fcol[start:end] = self.tables.column_marginals(span)
 
-    def _place(self, cids: list[int], counts: list[int], widths: list[int], cols: np.ndarray) -> None:
-        """Append one segment per cluster id in cids, in order, holding their
-        column stacks `cols` side by side, with these widths and counts."""
-        if self._dead > self._ncols - self._dead:
+    def _place(self, cid: int, width: int, members, seq: int | None = None) -> None:
+        """Append a segment for cluster cid holding its members' cores
+        summed at their offsets, `top` columns wide, of which the first
+        `width` are scored.  It takes the end of the scan order
+        unless `seq` gives its counter."""
+        if self._dead > min(self._ncols - self._dead, 64):
             self._compact()
-        start, end = self._ncols, self._ncols + cols.shape[1]
-        self._cols[:, start:end] = cols
-        self._fcol[start:end] = self.tables.column_marginals(cols)
-        for seg, (cid, count, width) in enumerate(zip(cids, counts, widths), self._nseg):
-            self._clock += 1
-            self._seg_stamp[seg] = self._clock
-            self._pos[start : start + width] = self._arange[:width]
-            self._seg_start[seg] = start
-            self._seg_width[seg] = width
-            self._seg_cid[seg] = cid
-            self._seg_count[seg] = count
-            self._seg_of[cid] = seg
-            start += width
-        self._nseg += len(cids)
+        top = self._top(members)
+        start, end = self._ncols, self._ncols + top
+        self._cols[:, start:end] = self._core_stack(members, top)
+        if len(members) == 1:
+            at = self._base[members[0]] + int(self.offsets[members[0]])
+            self._fcol[start:end] = self._fflat[at : at + top]
+        else:
+            self._fcol[start:end] = self.tables.column_marginals(self._cols[:, start:end])
+        self._pos[start:end] = self._arange[:top]
+        self._clock += 1
+        seg = self._nseg
+        self._seg_stamp[seg] = self._clock
+        self._seg_seq[seg] = self._clock if seq is None else seq
+        self._seg_bounds[seg] = start, start + width
+        self._seg_top[seg] = top
+        self._seg_width[seg] = width
+        self._seg_cid[seg] = cid
+        self._seg_count[seg] = len(members)
+        self._seg_of[cid] = seg
+        self._nseg += 1
         self._ncols = end
+        self._scan = None
 
     def _retire(self, seg: int) -> None:
         """Empty segment seg (zero counts and marginals) and retire it."""
         self._clock += 1
-        start, width = int(self._seg_start[seg]), int(self._seg_width[seg])
-        self._cols[:, start : start + width] = self._empty
-        self._fcol[start : start + width] = 0.0
+        start, top = int(self._seg_start[seg]), int(self._seg_top[seg])
+        self._cols[:, start : start + top] = self._empty
+        self._fcol[start : start + top] = 0.0
         self._seg_cid[seg] = -1
         self._seg_count[seg] = 0
-        self._dead += width
+        self._seg_seq[seg] = _RETIRED
+        self._dead += top
+        self._scan = None
 
-    def _relocate(self, segs: list[int], widths: list[int], cols: np.ndarray) -> None:
-        """Move the cluster of each segment in segs to a new segment of the
-        matching width, appended in order; `cols` holds their new column
-        stacks side by side."""
-        cids = [int(self._seg_cid[seg]) for seg in segs]
-        counts = [int(self._seg_count[seg]) for seg in segs]
-        for seg in segs:
-            self._retire(seg)
-        self._place(cids, counts, widths, cols)
+    def _relocate(self, seg: int, members, width: int | None = None) -> None:
+        """Move the cluster of segment seg to a new segment rebuilt from
+        these members (see _place).  With a width, the cluster takes it and
+        the end of the scan order, as a new cluster does; without, it keeps
+        its width and its scan counter."""
+        cid = int(self._seg_cid[seg])
+        seq = None if width is not None else int(self._seg_seq[seg])
+        width = int(self._seg_width[seg]) if width is None else width
+        self._retire(seg)
+        self._place(cid, width, members, seq)
+
+    def _refit(self, seg: int, members) -> bool:
+        """Relocate segment seg (keeping its width and counter) if these
+        members' top is not its own; says whether it did."""
+        if self._top(members) == self._seg_top[seg]:
+            return False
+        self._relocate(seg, members)
+        return True
+
+    def _rescore(self, seg: int, width: int) -> None:
+        """Give the cluster of segment seg a new width: no column changes,
+        but the segment is stamped and takes the end of the scan order."""
+        self._clock += 1
+        self._seg_width[seg] = width
+        self._seg_bounds[seg, 1] = self._seg_start[seg] + width
+        self._seg_stamp[seg] = self._seg_seq[seg] = self._clock
+        self._scan = None
 
     def _compact(self) -> None:
         """Drop retired segments, keeping the live ones in table order."""
         self._clock += 1
         k, n = self._nseg, self._ncols
         alive = self._seg_cid[:k] >= 0
-        keep = np.repeat(alive, self._seg_width[:k])
-        m = int(keep.sum())
-        self._cols[:, :m] = self._cols[:, :n][:, keep]
-        self._fcol[:m] = self._fcol[:n][keep]
-        self._pos[:m] = self._pos[:n][keep]
-        live = int(alive.sum())
-        for arr in (self._seg_width, self._seg_cid, self._seg_count, self._seg_stamp):
-            arr[:live] = arr[:k][alive]
-        widths = self._seg_width[:live]
-        self._seg_start[:live] = np.cumsum(widths) - widths
+        # index gathers: a boolean mask over the columns is about 2x slower
+        keep = np.repeat(alive, self._seg_top[:k]).nonzero()[0]
+        m = len(keep)
+        self._cols[:, :m] = self._cols[:, :n].take(keep, axis=1)
+        self._fcol[:m] = self._fcol.take(keep)
+        self._pos[:m] = self._pos.take(keep)
+        alive = alive.nonzero()[0]
+        live = len(alive)
+        for arr in (self._seg_top, self._seg_width, self._seg_cid, self._seg_count,
+                    self._seg_stamp, self._seg_seq):
+            arr[:live] = arr.take(alive)
+        tops = self._seg_top[:live]
+        self._seg_start[:live] = np.cumsum(tops) - tops
+        np.add(self._seg_start[:live], self._seg_width[:live], out=self._seg_bounds[:live, 1])
         # existing keys keep their place in _seg_of
         self._seg_of.update(zip(self._seg_cid[:live].tolist(), range(live)))
         self._nseg, self._ncols, self._dead = live, m, 0
+        self._scan = None
+
+    def _scan_order(self) -> np.ndarray:
+        """The live segments in scan order (ascending _seg_seq; retired ones
+        sort last), cached until the layout next changes."""
+        if self._scan is None:
+            self._scan = self._seg_seq[: self._nseg].argsort()[: len(self._seg_of)]
+        return self._scan
 
     def _core_stack(self, members: Sequence[int], width: int) -> np.ndarray:
         """Column stack, as the table holds it, of these motifs' cores
@@ -398,81 +473,102 @@ class SamplerState:
         return cols
 
     def _new_cluster(self, members: Sequence[int], width: int) -> None:
-        """Open a cluster of these members, each one's core `width` columns
-        wide at its current offset."""
-        cols = self._core_stack(members, width)
-        self._place([self._next_id], [len(members)], [width], cols)
+        """Open a cluster of these members, at their current offsets, with
+        this width."""
+        self._place(self._next_id, width, members)
         self.z[members] = self._next_id
         self._next_id += 1
 
     def _member(self, i: int, seg: int, op: np.ufunc) -> None:
         """Add (op np.add) or remove (np.subtract) motif i's core, at its
-        current offset, in segment seg, and count the member."""
+        current offset, in segment seg, in place, and count the member."""
         at = self._base[i] + int(self.offsets[i])
-        self._update(seg, op, self._flat[:, at : at + int(self._seg_width[seg])])
+        self._update(seg, op, self._flat[:, at : at + int(self._seg_top[seg])])
         self._seg_count[seg] = op(self._seg_count[seg], 1)
 
     def attach(self, i: int, cid: int) -> None:
-        """Add motif i's core (at its current offset) to cluster cid."""
-        self._member(i, self._seg_of[cid], np.add)
+        """Add motif i's core (at its current offset) to cluster cid; a motif
+        with less room than the cluster's top relocates the cluster."""
+        seg = self._seg_of[cid]
         self.z[i] = cid
+        if self.lengths[i] - self.offsets[i] >= self._seg_top[seg]:
+            self._member(i, seg, np.add)
+        else:
+            self._relocate(seg, self._members(cid))
 
     def detach(self, i: int) -> None:
         """Remove motif i from its cluster.  Emptied clusters are retired,
-        their ids never reused."""
+        their ids never reused; one that loses the member with the least
+        room may have a wider top, and is relocated if so."""
         cid = int(self.z[i])
         seg = self._seg_of[cid]
-        if self._seg_count[seg] > 1:
-            self._member(i, seg, np.subtract)
-        else:
+        if self._seg_count[seg] == 1:
             self._retire(seg)
             del self._seg_of[cid]
+            return
+        if self.lengths[i] - self.offsets[i] == self._seg_top[seg]:
+            rest = self._members(cid)
+            if self._refit(seg, rest[rest != i]):
+                return
+        self._member(i, seg, np.subtract)
 
     def audit(self) -> None:
         """Rebuild the cluster map, the per-segment arrays and the column
         table from z and the offsets; exact match required.  Live segments
-        are rebuilt and retired ones must be empty."""
+        are rebuilt, top-wide, and retired ones must be empty."""
         k = self._nseg
         cids, segs = list(self._seg_of), list(self._seg_of.values())
         if cids != sorted(set(self.z.tolist())) or not all(0 <= seg < k for seg in segs):
             raise AssertionError("cluster map out of sync with the labels")
-        _, members, sizes = self._groups()
+        rooms, members, sizes = self._groups()
         owner, count = np.full(k, -1), np.zeros(k, dtype=np.int64)
         owner[segs], count[segs] = cids, sizes
         for arr, rebuilt in ((self._seg_cid, owner), (self._seg_count, count)):
             if not np.array_equal(arr[:k], rebuilt):
                 raise AssertionError("segment owners or member counts out of sync")
         groups = dict(zip(cids, np.split(members, np.add.accumulate(sizes)[:-1])))
+        rooms = dict(zip(cids, rooms.tolist()))
         start = dead = 0
         for seg in range(k):
-            w, cid = int(self._seg_width[seg]), int(self._seg_cid[seg])
+            top, cid = int(self._seg_top[seg]), int(self._seg_cid[seg])
             if int(self._seg_start[seg]) != start:
                 raise AssertionError(f"segment {seg} start out of sync")
             if cid < 0:
-                expected, marginals = np.broadcast_to(self._empty, (5, w)), 0.0
-                dead += w
+                if self._seg_seq[seg] != _RETIRED:
+                    raise AssertionError(f"retired segment {seg} still in the scan order")
+                expected, marginals = np.broadcast_to(self._empty, (5, top)), 0.0
+                dead += top
             else:
-                rebuilt = np.zeros((w, 4), dtype=np.int64)
+                if top != rooms[cid] or not self.hyper.wmin <= self._seg_width[seg] <= top:
+                    raise AssertionError(f"segment {seg} top or width out of sync")
+                rebuilt = np.zeros((top, 4), dtype=np.int64)
                 for i in groups[cid].tolist():
                     o = int(self.offsets[i])
-                    if o < 0 or o + w > int(self.lengths[i]):
+                    if o < 0:
                         raise AssertionError(f"motif {i} core outside matrix bounds")
-                    rebuilt += self.core(i, o, w)
+                    rebuilt += self.core(i, o, top)
                 expected = self.tables.stack(rebuilt)
                 marginals = self.tables.column_marginals(expected)
             # a retired segment keeps the positions it was placed with
             if not (
-                np.array_equal(self._cols[:, start : start + w], expected)
-                and np.all(self._fcol[start : start + w] == marginals)
-                and np.array_equal(self._pos[start : start + w], np.arange(w))
+                np.array_equal(self._cols[:, start : start + top], expected)
+                and np.all(self._fcol[start : start + top] == marginals)
+                and np.array_equal(self._pos[start : start + top], np.arange(top))
             ):
                 raise AssertionError(f"segment {seg} columns out of sync")
-            start += w
+            start += top
         if start != self._ncols or dead != self._dead:
             raise AssertionError("column table extent out of sync")
-        stamps = self._seg_stamp[:k]
-        if len(np.unique(stamps)) != len(stamps) or np.any(stamps > self._clock):
-            raise AssertionError("segment stamps out of sync")
+        counters = (("stamps", self._seg_stamp[:k]), ("scan counters", self._seg_seq[segs]))
+        for name, keys in counters:
+            if not _distinct(keys) or np.any(keys > self._clock):
+                raise AssertionError(f"segment {name} out of sync")
+        ends = self._seg_start[:k] + self._seg_width[:k]
+        if not np.array_equal(self._seg_bounds[:k, 1], ends):
+            raise AssertionError("segment bounds out of sync")
+        cached, self._scan = self._scan, None
+        if cached is not None and not np.array_equal(cached, self._scan_order()):
+            raise AssertionError("cached scan order stale")
         # a memo whose key is current must be what a fresh evaluation gives
         for i, (key, cum) in enumerate(self._align_memo):
             seg = self._seg_of[int(self.z[i])]
@@ -485,8 +581,8 @@ class SamplerState:
                 raise AssertionError(f"motif {i} assignment memo stale")
         clock, *memo = self._width_memo
         if clock == self._clock:
-            segs, logw, sums = _width_weights(self)
-            fresh = (segs, None if logw is None else _cdf(logw), sums)
+            segs, logw = _width_weights(self)
+            fresh = (segs, None if logw is None else _cdf(logw))
             if not all(np.array_equal(a, b) for a, b in zip(memo, fresh)):
                 raise AssertionError("width memo stale")
 
@@ -497,12 +593,15 @@ class SamplerState:
         Its sums are exactly rounded (math.fsum), so a state scores the same
         bits whatever the order of its segments in the table."""
         lp = log_partition_prior(self.z.tolist(), self.hyper) + self._null
-        # retired columns score 0
-        lp += math.fsum(self._fcol[: self._ncols].tolist())
-        lp += (self._ncols - self._dead) * self.tables.log_const
-        top = self._groups()[0]
-        widths = self._seg_width[list(self._seg_of.values())]
-        return lp + math.fsum(self._wprior[top, widths].tolist())
+        k, n = self._nseg, self._ncols
+        # the scored columns of every segment; retired columns score 0
+        scored = self._pos[:n] < np.repeat(self._seg_width[:k], self._seg_top[:k])
+        lp += math.fsum(self._fcol[:n][scored].tolist())
+        # the live segments, in an order that exactly rounded sums ignore
+        segs = self._scan_order()
+        widths = self._seg_width[segs]
+        lp += int(widths.sum()) * self.tables.log_const
+        return lp + math.fsum(self._wprior[self._seg_top[segs], widths].tolist())
 
     def snapshot(self, iteration: int, log_joint: float) -> Snapshot:
         labels = self.z.tolist()
@@ -540,6 +639,10 @@ def init_state(
 # ------------------------------------------------------------------ moves
 
 
+# the scan counter of a retired segment, above every live one
+_RETIRED = np.iinfo(np.int64).max
+
+
 def _cdf(logw: np.ndarray) -> np.ndarray:
     """Unnormalised CDF of the log weights along their last axis, each row
     scaled by its largest weight."""
@@ -556,6 +659,13 @@ def _draw(cum: np.ndarray, rng: np.random.Generator) -> int:
     return int(cum.searchsorted(rng.random() * cum[-1], side="right"))
 
 
+def _distinct(keys: np.ndarray) -> bool:
+    """Whether no two keys are equal (a sort, not np.unique, whose import of
+    numpy.ma every process that rebuilds a state would pay)."""
+    keys = np.sort(keys)
+    return bool(np.all(keys[1:] != keys[:-1]))
+
+
 def _new_width(state: SamplerState, length: int, rng: np.random.Generator) -> int:
     """Width of a new cluster on a motif of this length, drawn from the
     width prior truncated at the length (log_width_probs) with one uniform,
@@ -565,33 +675,38 @@ def _new_width(state: SamplerState, length: int, rng: np.random.Generator) -> in
 
 def _assignment_weights(state: SamplerState, i: int) -> np.ndarray:
     """Unnormalized log weights of motif i, held out of its own cluster,
-    joining each segment of the column table (in table order), then of
+    joining each live cluster (in scan order, see SamplerState), then of
     opening a new cluster scored on its current core extent.  Each weight
-    is a prior mass plus the change in the table scores, which already
-    count the background of the columns a core covers.  Retired segments,
-    clusters too wide for the motif's offset, and the motif's own cluster
-    when it is the only member get weight -inf."""
+    is a prior mass plus the change in the scores of the cluster's first w
+    columns, which already count the background of the columns a core
+    covers.  Clusters too wide for the motif's offset, and the motif's own
+    cluster when it is the only member, get weight -inf."""
     seg = state._seg_of[int(state.z[i])]
     start, w = int(state._seg_start[seg]), int(state._seg_width[seg])
     o = int(state.offsets[i])
-    n, k = state._ncols, state._nseg
-    # the motif's columns against every table column; subtracted on its own
+    k = state._nseg
+    order = state._scan_order()
+    # the motif's columns against every table column, and one column past
+    # the table so that a scored prefix may end there; subtracted on its own
     # segment, so that segment evaluates the other members without it
+    n = state._ncols + 1
     motif = state._win[:, state._base[i] + o].take(state._pos[:n], axis=1)
     own = motif[:, start : start + w]
     np.negative(own, out=own)
     np.add(motif, state._cols[:, :n], out=motif)
     gain = state.tables.column_marginals(motif)
     np.subtract(gain, state._fcol[:n], out=gain)
-    logw = np.empty(k + 1)
-    joins = logw[:k]
-    np.add.reduceat(gain, state._seg_start[:k], out=joins)
-    leave = logw[seg]
+    # reduceat sums every scored prefix at an even index, each with the
+    # bits of a reduceat over that prefix alone (np.add.reduce may differ)
+    joins = np.add.reduceat(gain, state._seg_bounds[:k].ravel())[::2]
+    leave = joins[seg]
     np.add(joins, state._logm[state._seg_count[:k]], out=joins)
     np.putmask(joins, state._seg_width[:k] > int(state.lengths[i]) - o, -np.inf)
-    logw[seg] = state._logm[state._seg_count[seg] - 1] - leave
+    joins[seg] = state._logm[state._seg_count[seg] - 1] - leave
+    logw = np.empty(len(order) + 1)
+    joins.take(order, out=logw[:-1])
     new_prefix = state._new_prefix[i]
-    logw[k] = state._log_b + new_prefix[o + w] - new_prefix[o]
+    logw[-1] = state._log_b + new_prefix[o + w] - new_prefix[o]
     return logw
 
 
@@ -615,11 +730,13 @@ def resample_assignment(state: SamplerState, i: int, rng: np.random.Generator) -
     if key != state._clock:
         cum = _cdf(_assignment_weights(state, i))
         state._assign_memo[i] = (state._clock, cum)
+    order = state._scan_order()
     choice = _draw(cum, rng)
-    if choice < state._nseg:
-        if choice != seg:
+    if choice < len(order):
+        if order[choice] != seg:
+            cid = int(state._seg_cid[order[choice]])
             state.detach(i)
-            state.attach(i, int(state._seg_cid[choice]))
+            state.attach(i, cid)
     else:
         length = int(state.lengths[i])
         w_new = _new_width(state, length, rng)
@@ -630,9 +747,12 @@ def resample_assignment(state: SamplerState, i: int, rng: np.random.Generator) -
             state._new_cluster([i], w_new)
         elif w_new != state._seg_width[seg]:
             # a singleton stays alone only through this option, so it keeps
-            # its id and segment, moved only when its width is redrawn
-            state.offsets[i] = o
-            state._relocate([seg], [w_new], state._core_stack([i], w_new))
+            # its id; a clamped offset narrows its top
+            if o < state.offsets[i]:
+                state.offsets[i] = o
+                state._relocate(seg, [i], w_new)
+            else:
+                state._rescore(seg, w_new)
     state.updates += 1
 
 
@@ -667,9 +787,11 @@ def resample_alignment(state: SamplerState, i: int, rng: np.random.Generator) ->
     (including the motif's own moves): while the stamp holds, the draw reads
     the stored CDF.
     """
-    seg = state._seg_of[int(state.z[i])]
+    cid = int(state.z[i])
+    seg = state._seg_of[cid]
     w = int(state._seg_width[seg])
-    if int(state.lengths[i]) > w:
+    length = int(state.lengths[i])
+    if length > w:
         o_old = int(state.offsets[i])
         stamp = int(state._seg_stamp[seg])
         key, cum = state._align_memo[i]
@@ -678,41 +800,39 @@ def resample_alignment(state: SamplerState, i: int, rng: np.random.Generator) ->
             state._align_memo[i] = (stamp, cum)
         o_new = _draw(cum, rng)
         if o_new != o_old:
-            motif = state._flat[:, state._base[i] :]
-            state._update(seg, np.add, motif[:, o_new : o_new + w] - motif[:, o_old : o_old + w])
             state.offsets[i] = o_new
+            top = int(state._seg_top[seg])
+            # the top can move only if the motif had or now has the least room
+            least = min(length - o_new, length - o_old) <= top
+            if not (least and state._refit(seg, state._members(cid))):
+                motif = state._flat[:, state._base[i] :]
+                shift = motif[:, o_new : o_new + top] - motif[:, o_old : o_old + top]
+                state._update(seg, np.add, shift)
     state.updates += 1
 
 
-def _width_weights(state: SamplerState) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+def _width_weights(state: SamplerState) -> tuple[np.ndarray, np.ndarray | None]:
     """Unnormalized log weights of the core widths of the live clusters
     that can take more than one width, in ascending cluster id.
 
-    Returns the segment indices of those clusters, their log weights (row
-    per cluster, column w - wmin, -inf past the widest core every member
-    can hold) and their members' summed column stacks (5, rows, columns),
-    whose first w columns are the cluster's core at width w.  Weight of
-    width w: the first w column marginals of the summed stacks, the
-    background term of the columns beyond w, and the width prior.  With no
-    such cluster, the weights and stacks are None.
+    Returns the segment indices of those clusters and their log weights
+    (row per cluster, column w - wmin, -inf past the cluster's top).  Weight
+    of width w: the scores of the segment's first w columns, read from the
+    table, the background term of the columns beyond w, and the width
+    prior.  With no such cluster, the weights are None.
     """
-    tables = state.tables
     wmin = state.hyper.wmin
-    top, members, sizes = state._groups()
+    segs = np.array(list(state._seg_of.values()))
+    top = state._seg_top[segs]
     free = top > wmin
-    rows = free.nonzero()[0]
-    if not len(rows):
-        return rows, None, None
-    segs = np.array(list(state._seg_of.values()))[rows]
-    members = members[np.repeat(free, sizes)]
-    sizes, top = sizes[rows], top[rows]
+    segs, top = segs[free], top[free]
+    if not len(segs):
+        return segs, None
     span = int(top.max())
-    windows = state._win[:, state._base_arr[members] + state.offsets[members], :span]
-    sums = np.add.reduceat(windows, np.add.accumulate(sizes) - sizes, axis=1)
-    sums += state._empty[:, None]
-    col = tables.column_marginals(sums) + tables.log_const
+    # past its top a row reads other segments' scores, masked by the prior
+    col = state._fcol[state._seg_start[segs, None] + state._arange[:span]] + state.tables.log_const
     logw = np.add.accumulate(col, axis=1)[:, wmin - 1 :] + state._wprior[top, wmin : span + 1]
-    return segs, logw, sums
+    return segs, logw
 
 
 def resample_width(state: SamplerState, rng: np.random.Generator) -> None:
@@ -721,8 +841,8 @@ def resample_width(state: SamplerState, rng: np.random.Generator) -> None:
     Given the partition and the offsets, the widths of different clusters
     are independent, so all of them are drawn from one evaluation (see
     _width_weights), one uniform per cluster with more than one feasible
-    width, in ascending cluster id.  The moved clusters are retired and
-    appended to the column table as one block.
+    width, in ascending cluster id.  A new width writes no table column:
+    each moved cluster takes the end of the scan order, in ascending id.
 
     The evaluation is memoised against the state's mutation clock: a sweep
     that finds the table as the last one left it draws from the stored
@@ -730,23 +850,19 @@ def resample_width(state: SamplerState, rng: np.random.Generator) -> None:
     """
     state.updates += len(state._seg_of)
     if state._width_memo[0] == state._clock:
-        _, segs, cum, sums = state._width_memo
+        _, segs, cum = state._width_memo
     else:
-        segs, logw, sums = _width_weights(state)
+        segs, logw = _width_weights(state)
         cum = None if logw is None else _cdf(logw)
-        state._width_memo = (state._clock, segs, cum, sums)
+        state._width_memo = (state._clock, segs, cum)
     if cum is None:
         return
     # row-wise inverse CDF, searchsorted(side="right") as in _draw
     u = rng.random(len(segs)) * cum[:, -1]
     w_new = state.hyper.wmin + np.add.reduce(cum <= u[:, None], axis=1)
     moved = (w_new != state._seg_width[segs]).nonzero()[0]
-    if not len(moved):
-        return
-    # block[:, k, :w] is moved cluster k's core at width w
-    block = sums[:, moved]
-    new = state._arange[: block.shape[2]] < w_new[moved, None]
-    state._relocate(segs[moved].tolist(), w_new[moved].tolist(), block[:, new])
+    for seg, w in zip(segs[moved].tolist(), w_new[moved].tolist()):
+        state._rescore(seg, w)
 
 
 # ------------------------------------------------------------------ run loop
@@ -829,10 +945,9 @@ def membership_probability(
     logw = _assignment_weights(state, i)
     probs = np.exp(logw - logw.max())
     probs /= probs.sum()
+    cids = state._seg_cid[state._scan_order()].tolist()
     out: dict[int | None, float] = {
-        cid: float(p)
-        for cid, lw, p in zip(state._seg_cid[: state._nseg].tolist(), logw, probs)
-        if lw > -np.inf
+        cid: float(p) for cid, lw, p in zip(cids, logw, probs) if lw > -np.inf
     }
     out[None] = float(probs[-1])
     return out

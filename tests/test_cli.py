@@ -523,10 +523,14 @@ class TestSummarize:
 
 class TestImports:
     # the CLI's start-up cost is paid by every run
-    def fresh_imports(self, *packages):
+    def fresh_imports(self, *packages, argv=None):
+        """The loaded modules of these packages (or subpackages) in a fresh
+        interpreter that imports the CLI and, given argv, runs it."""
+        run = f"assert motifclust.cli.entry({argv!r}) == 0; " if argv else ""
+        loaded = f"any(m == p or m.startswith(p + '.') for p in {packages!r})"
         code = (
-            "import sys, motifclust, motifclust.cli; "
-            f"print(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))"
+            "import sys, motifclust, motifclust.cli; " + run +
+            f"print(sorted(m for m in sys.modules if {loaded}))"
         )
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
@@ -534,7 +538,7 @@ class TestImports:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
         )
         assert done.returncode == 0, done.stderr
-        return done.stdout.strip()
+        return done.stdout.strip().splitlines()[-1]
 
     def test_runtime_imports_no_scipy(self):
         # numpy is the only third-party import
@@ -543,6 +547,12 @@ class TestImports:
     def test_runtime_imports_no_process_pool(self):
         # only `cluster --chains N` with N > 1 imports the pool
         assert self.fresh_imports("multiprocessing", "concurrent") == "[]"
+
+    def test_cluster_and_summarize_import_no_scipy_or_masked_arrays(self, motif_file, tmp_path):
+        # numpy.ma costs about 12 ms of import, and np.unique imports it
+        out = tmp_path / "run"
+        for argv in (cluster_args(motif_file, out), ["summarize", "--out", str(out)]):
+            assert self.fresh_imports("scipy", "numpy.ma", argv=argv) == "[]"
 
 
 class TestPriorSim:

@@ -684,21 +684,21 @@ class TestVectorisedWeights:
         own = int(state.z[i])
         o, length = int(state.offsets[i]), int(state.lengths[i])
         logw = _assignment_weights(state, i)
-        assert logw.shape == (state._nseg + 1,)
-        for seg, cid in enumerate(state._seg_cid[: state._nseg].tolist()):
-            if cid < 0:
-                assert logw[seg] == -np.inf  # retired segment
-                continue
+        # one weight per live cluster, in scan order, then the new cluster
+        order = state._scan_order()
+        assert sorted(order.tolist()) == sorted(state._seg_of.values())
+        assert logw.shape == (len(order) + 1,)
+        for pos, cid in enumerate(state._seg_cid[order].tolist()):
             cl = state.clusters[cid]
             w = cl.stats.width
             if o + w > length:
-                assert logw[seg] == -np.inf  # too wide at this offset
+                assert logw[pos] == -np.inf  # too wide at this offset
                 continue
             core = state.core(i, o, w)
             stats = ClusterStats(w, core_counts(state, cid), cl.stats.member_count)
             if cid == own:
                 if cl.stats.member_count == 1:
-                    assert logw[seg] == -np.inf  # leaving a singleton is "new"
+                    assert logw[pos] == -np.inf  # leaving a singleton is "new"
                     continue
                 stats = ClusterStats(
                     width=w,
@@ -710,7 +710,7 @@ class TestVectorisedWeights:
                 + log_pred_join(core, stats, hyper)
                 - log_background(core.sum(axis=0), hyper)
             )
-            assert logw[seg] == pytest.approx(expected, abs=1e-9)
+            assert logw[pos] == pytest.approx(expected, abs=1e-9)
         core = state.core(i, o, state.clusters[own].stats.width)
         expected_new = (
             math.log(hyper.b)
@@ -761,6 +761,19 @@ class TestGroups:
         assert start == len(members)
 
 
+def _other_live(state, seg):
+    """A live segment other than seg."""
+    return next(other for other in state._seg_of.values() if other != seg)
+
+
+def _swap_cached_scan_counters(state, seg):
+    """Swap seg's scan counter with another live segment's once the scan
+    order is cached, which leaves the cached order stale."""
+    state._scan_order()
+    other = _other_live(state, seg)
+    state._seg_seq[[seg, other]] = state._seg_seq[[other, seg]]
+
+
 class TestColumnTableAudit:
     def swept(self):
         """An audited state whose table holds live and retired segments."""
@@ -785,9 +798,16 @@ class TestColumnTableAudit:
             lambda s, seg: s._seg_cid.__setitem__(seg, s._seg_cid[seg] + 1),
             lambda s, seg: s._seg_count.__setitem__(seg, s._seg_count[seg] + 1),
             lambda s, seg: s._seg_of.__setitem__(int(s._seg_cid[seg]), (seg + 1) % s._nseg),
+            lambda s, seg: s._seg_top.__setitem__(seg, s._seg_top[seg] - 1),
+            lambda s, seg: s._seg_width.__setitem__(seg, s._seg_top[seg] + 1),
+            lambda s, seg: s._seg_width.__setitem__(seg, s.hyper.wmin - 1),
+            lambda s, seg: s._seg_bounds.__setitem__((seg, 1), s._seg_bounds[seg, 1] - 1),
+            lambda s, seg: s._seg_seq.__setitem__(seg, s._seg_seq[_other_live(s, seg)]),
+            _swap_cached_scan_counters,
         ],
         ids=["counts", "totals", "marginal", "position", "segment-map", "dead",
-             "cluster-id", "member-count", "cluster-map"],
+             "cluster-id", "member-count", "cluster-map", "top", "width-above-top",
+             "width-below-wmin", "scored-end", "scan-counter-repeated", "scan-order-cached"],
     )
     def test_audit_rebuilds_and_compares_column_table(self, corrupt):
         state = self.swept()
@@ -910,7 +930,7 @@ class TestBatchedWidthSweep:
         state, rng = _swept_state(case)
         wmin = state.hyper.wmin
         cids = sorted(state.clusters)
-        segs, logw, _ = _width_weights(state)
+        segs, logw = _width_weights(state)
         refs = [reference_width_conditional(state, cid) for cid in cids]
         free = [(cid, ref) for cid, ref in zip(cids, refs) if ref is not None]
         assert state._seg_cid[segs].tolist() == [cid for cid, _ in free]
@@ -965,6 +985,108 @@ class TestBatchedWidthSweep:
             seen.update(cl.stats.width for cl in state.clusters.values())
         state.audit()
         assert len(seen) > 1
+
+
+    def test_width_moves_write_no_table_column(self):
+        data = planted_motif_groups(
+            n_groups=3, members=3, core_width=6, length=9, sites=20, peak=0.8, seed=5
+        ).records
+        hyper = Hyperparameters(alpha=1.0, b=1.0, lam=6.0, wmin=4)
+        rng = np.random.default_rng(8)
+        state = init_state(data, hyper, rng)
+        moves = 0
+        for _ in range(30):
+            for i in range(state.n_motifs()):
+                resample_assignment(state, i, rng)
+                resample_alignment(state, i, rng)
+            n = state._ncols
+            table = (state._cols[:, :n].copy(), state._fcol[:n].copy(), state._pos[:n].copy())
+            widths = {cid: cl.stats.width for cid, cl in state.clusters.items()}
+            resample_width(state, rng)
+            moves += sum(cl.stats.width != widths[cid] for cid, cl in state.clusters.items())
+            assert state._ncols == n
+            after = (state._cols[:, :n], state._fcol[:n], state._pos[:n])
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(table, after))
+        assert moves > 10
+        state.audit()
+
+
+def _prefix_join_weights(state, i):
+    """Motif i's join weights, in scan order, each from a reduceat over its
+    cluster's first w table columns alone: the bits of a table that held
+    only those columns, whose weights the draws were defined on."""
+    tables = state.tables
+    o, length = int(state.offsets[i]), int(state.lengths[i])
+    motif = state._flat[:, state._base[i] + o :]
+    out = []
+    for seg in state._scan_order().tolist():
+        start, w = int(state._seg_start[seg]), int(state._seg_width[seg])
+        count = int(state._seg_count[seg])
+        cols, scores = state._cols[:, start : start + w], state._fcol[start : start + w]
+        if state._seg_cid[seg] == state.z[i]:
+            gain = tables.column_marginals(cols - motif[:, :w]) - scores
+            out.append(state._logm[count - 1] - np.add.reduceat(gain, [0])[0])
+        elif w > length - o:
+            out.append(-np.inf)
+        else:
+            gain = tables.column_marginals(cols + motif[:, :w]) - scores
+            out.append(np.add.reduceat(gain, [0])[0] + state._logm[count])
+    return np.array(out)
+
+
+class TestScanOrder:
+    """The assignment conditional lists the clusters in the order of a
+    table that appended a cluster when it was opened and each time it took
+    a new width, and dropped it once empty.  That is the order the draws
+    were defined on before clusters held their columns up to their top."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_state_and_ops())
+    def test_conditional_follows_the_appended_order(self, case):
+        n, hyper, lengths, seed, ops = case
+        rng = np.random.default_rng(seed)
+        data = [rec(f"s{k}", rng.integers(0, 9, size=(lengths[k], 4))) for k in range(n)]
+        state = state_with_partition(data, hyper, simulate_partition(n, hyper, rng), rng)
+        appended = sorted(state.clusters)
+        for op in ops:
+            before = {cid: cl.stats.width for cid, cl in state.clusters.items()}
+            if op == 0:
+                resample_assignment(state, int(rng.integers(0, n)), rng)
+            elif op == 1:
+                resample_alignment(state, int(rng.integers(0, n)), rng)
+            else:
+                resample_width(state, rng)
+            after = {cid: cl.stats.width for cid, cl in state.clusters.items()}
+            moved = [cid for cid in sorted(after) if before.get(cid) != after[cid]]
+            appended = [cid for cid in appended if cid in after and cid not in moved] + moved
+            state.audit()
+            assert state._seg_cid[state._scan_order()].tolist() == appended
+            for i in range(n):
+                keys = [cid for cid in membership_probability(state, i) if cid is not None]
+                assert keys == [cid for cid in appended if cid in keys]
+                logw = _assignment_weights(state, i)[:-1]
+                assert logw.tobytes() == _prefix_join_weights(state, i).tobytes()
+
+    def test_wide_prefixes_keep_the_bits_of_a_prefix_alone(self):
+        # from 8 columns on, np.add.reduce sums in another order than
+        # reduceat does: random profiles and lam 10 give such widths
+        rng = np.random.default_rng(0)
+        data = []
+        for k in range(12):
+            profile = rng.dirichlet(np.full(4, 0.5))
+            data.append(rec(f"r{k}", rng.multinomial(20, profile, size=int(rng.integers(12, 15)))))
+        state = init_state(data, Hyperparameters(lam=10.0, wmin=6), rng)
+        widths = set()
+        for _ in range(5):
+            for i in range(state.n_motifs()):
+                logw = _assignment_weights(state, i)[:-1]
+                assert logw.tobytes() == _prefix_join_weights(state, i).tobytes()
+                resample_assignment(state, i, rng)
+                resample_alignment(state, i, rng)
+            resample_width(state, rng)
+            widths.update(state._seg_width[list(state._seg_of.values())].tolist())
+        assert max(widths) >= 8
+        state.audit()
 
 
 class TestTableBound:
@@ -1065,7 +1187,8 @@ class TestRowMajorLayout:
             resample_alignment(state, i, rng)
         sweep = "width"
         resample_width(state, rng)
-        assert set(stacks) == {"assign", "align", "width"}
+        # the width sweep reads the scores the table already holds
+        assert set(stacks) == {"assign", "align"}
         state.audit()
 
 
@@ -1073,7 +1196,7 @@ class TestMemoisedConditionals:
     """The moves' memoised CDFs (alignment, assignment, width sweep) are
     what a fresh evaluation gives, so they change no draw."""
 
-    WRITERS = ("_update", "_place", "_retire", "_compact")
+    WRITERS = ("_update", "_place", "_retire", "_compact", "_rescore")
     MOVES = {
         "resample_assignment": "_assignment_weights",
         "resample_alignment": "_alignment_weights",
@@ -1137,7 +1260,7 @@ class TestMemoisedConditionals:
             n = state.n_motifs()
             state._align_memo = [(-1, None)] * n
             state._assign_memo = [(-1, None)] * n
-            state._width_memo = (-1, None, None, None)
+            state._width_memo = (-1, None, None)
 
         for move in self.MOVES:
             inner = getattr(sampler, move)
